@@ -162,7 +162,7 @@ class ParticleConfig:
                 raise ConfigError(
                     f"delta={self.delta} inconsistent with d*E - mu*B = {derived}"
                 )
-        if abs(self.delta) >= self.mc2:
+        if not abs(self.delta) < self.mc2:  # also rejects NaN
             raise ConfigError(
                 f"|delta|={abs(self.delta)} must stay below m*c^2={self.mc2}"
             )

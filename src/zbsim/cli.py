@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -126,8 +127,10 @@ def build_particle_config(args: argparse.Namespace) -> tuple[ParticleConfig, Uni
 
     if args.units == "si":
         mass = args.mass
-        if args.mass == 1.0:
+        if mass is None:
             raise ConfigError("--units si requires an explicit --mass in kg")
+        if not (mass > 0 and math.isfinite(mass)):
+            raise ConfigError(f"--mass must be a positive, finite number of kg, got {mass}")
         mc2 = mass * SI_C**2
         if has_fields:
             mu = args.mu or 0.0
@@ -143,6 +146,8 @@ def build_particle_config(args: argparse.Namespace) -> tuple[ParticleConfig, Uni
                             time=SI_HBAR / mc2)
         return cfg, scales
 
+    if args.mass not in (None, 1.0):
+        raise ConfigError("natural units fix the mass at 1; --mass needs --units si")
     if has_fields:
         cfg = ParticleConfig(
             mu=args.mu or 0.0,
@@ -156,6 +161,12 @@ def build_particle_config(args: argparse.Namespace) -> tuple[ParticleConfig, Uni
     return cfg, UnitScales()
 
 
+def _require_finite(**values: float) -> None:
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ConfigError(f"--{name.replace('_', '-')} must be finite, got {value}")
+
+
 def _resolve_momentum(args: argparse.Namespace, cfg: ParticleConfig) -> tuple[float, float | None]:
     """(p, v or None) in natural units from --p / --v."""
     if args.p is not None and args.v is not None:
@@ -163,7 +174,9 @@ def _resolve_momentum(args: argparse.Namespace, cfg: ParticleConfig) -> tuple[fl
     if args.v is not None:
         kin = momentum_from_velocity(args.v, cfg)
         return kin.p, kin.v
-    return (args.p if args.p is not None else 0.0), None
+    p = args.p if args.p is not None else 0.0
+    _require_finite(p=p)
+    return p, None
 
 
 def cmd_frequencies(args: argparse.Namespace) -> int:
@@ -204,6 +217,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _build_packet(args: argparse.Namespace, cfg: ParticleConfig):
+    _require_finite(p0=args.p0, sigma_p=args.sigma_p)
     mix = _parse_mix(args.mix) if args.mix else DEFAULT_MIX
     if args.modes == 1:
         return single_mode(args.p0, mix, cfg)
@@ -364,7 +378,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def _add_particle_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--delta", type=float, default=None,
                      help="spin splitting (m*c^2 units natural, joule SI); default 0.4")
-    sub.add_argument("--mass", type=float, default=1.0, help="particle mass (SI: kg)")
+    sub.add_argument("--mass", type=float, default=None,
+                     help="particle mass in kg; required with --units si (natural units: 1)")
     sub.add_argument("--mu", type=float, default=None, help="magnetic dipole moment")
     sub.add_argument("--dmom", type=float, default=None, help="electric dipole moment")
     sub.add_argument("--bfield", type=float, default=None, help="longitudinal magnetic field")
@@ -372,8 +387,6 @@ def _add_particle_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--units", choices=("natural", "si"), default="natural")
     sub.add_argument("--out", default=None, help="output path (default stdout)")
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
-    sub.add_argument("--seed", type=int, default=None,
-                     help="seed for randomized property suites (unused by deterministic commands)")
     sub.add_argument("--config", default=None,
                      help="flat key = value file; flags given on the command line win")
 

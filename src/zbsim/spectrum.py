@@ -145,7 +145,7 @@ def frequency_set(p: float, cfg: ParticleConfig) -> FrequencySet:
 def rest_frame_longitudinal(delta: float, cfg: ParticleConfig | None = None) -> tuple[float, float]:
     """Rest-frame longitudinal ZB pair (2(mc^2 + delta)/hbar, 2(mc^2 - delta)/hbar)."""
     base = ParticleConfig(mass=1.0, c=1.0, hbar=1.0) if cfg is None else cfg
-    if abs(delta) >= base.mc2:
+    if not abs(delta) < base.mc2:  # also rejects NaN
         raise ConfigError(f"|delta|={abs(delta)} must stay below m*c^2={base.mc2}")
     return (
         2.0 * (base.mc2 + delta) / base.hbar,
@@ -156,7 +156,7 @@ def rest_frame_longitudinal(delta: float, cfg: ParticleConfig | None = None) -> 
 def momentum_from_velocity(v: float, cfg: ParticleConfig | None = None) -> KinematicsPoint:
     """Relativistic kinematics p = gamma*m*v; requires |v| < c."""
     cfg = cfg or ParticleConfig.natural()
-    if abs(v) >= cfg.c:
+    if not abs(v) < cfg.c:  # also rejects NaN
         raise ConfigError(f"|v|={abs(v)} must stay below c={cfg.c}")
     gamma = 1.0 / np.sqrt(1.0 - (v / cfg.c) ** 2)
     return KinematicsPoint(v=float(v), gamma=float(gamma), p=float(gamma * cfg.mass * v))

@@ -87,6 +87,31 @@ class TestFrequencies:
         code, _ = run(capsys, "frequencies", "--p", "0", "--units", "si")
         assert code == EXIT_CONFIG
 
+    def test_si_unit_mass_is_explicit(self, capsys):
+        # 1.0 kg is a legitimate mass, not a missing one
+        code, out = run(capsys, "frequencies", "--p", "0", "--units", "si", "--mass", "1.0")
+        assert code == EXIT_OK
+        _, rows = parse_csv(out)
+        assert float(rows[0]["omega_L"]) == pytest.approx(0.8 * SI_C**2 / SI_HBAR, rel=1e-10)
+
+    @pytest.mark.parametrize("mass", ["0", "-1.0", "nan", "inf"])
+    def test_si_mass_must_be_positive_and_finite(self, capsys, mass):
+        code, out = run(capsys, "frequencies", "--p", "0", "--units", "si", f"--mass={mass}")
+        assert code == EXIT_CONFIG
+        assert out == ""
+
+    def test_natural_units_reject_other_mass(self, capsys):
+        code, _ = run(capsys, "frequencies", "--p", "0", "--mass", "2.0")
+        assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("flag,value", [("--delta", "nan"), ("--p", "nan"),
+                                            ("--p", "inf"), ("--p", "-inf"),
+                                            ("--v", "nan")])
+    def test_non_finite_input_rejected(self, capsys, flag, value):
+        code, out = run(capsys, "frequencies", f"{flag}={value}")
+        assert code == EXIT_CONFIG
+        assert out == ""
+
 
 class TestSweep:
     @pytest.mark.parametrize("figure,header", [
@@ -200,6 +225,14 @@ class TestVerify:
         assert code == EXIT_VERIFY
         assert json.loads(out.read_text())["pass"] is False
 
+    @pytest.mark.parametrize("command", ["verify", "evolve"])
+    @pytest.mark.parametrize("flag,value", [("--p0", "nan"), ("--p0", "inf"),
+                                            ("--sigma-p", "nan"), ("--sigma-p", "inf")])
+    def test_non_finite_packet_rejected(self, capsys, command, flag, value):
+        code, out = run(capsys, command, flag, value)
+        assert code == EXIT_CONFIG
+        assert out == ""
+
     def test_insufficient_resolution_is_config_error(self, capsys):
         code, _ = run(capsys, "verify", "--samples", "256", "--periods", "2")
         assert code == EXIT_CONFIG
@@ -213,6 +246,10 @@ class TestPlumbing:
 
     def test_usage_error_exit_code(self, capsys):
         code, _ = run(capsys, "frequencies", "--badflag")
+        assert code == EXIT_CONFIG
+
+    def test_seed_flag_removed(self, capsys):
+        code, _ = run(capsys, "frequencies", "--p", "0", "--seed", "1")
         assert code == EXIT_CONFIG
 
     def test_missing_subcommand(self, capsys):

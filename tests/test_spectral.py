@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -111,10 +113,81 @@ class TestExtractPeaks:
         assert pk.peaks[0].power >= pk.peaks[1].power
         assert pk.peaks[0].omega == pytest.approx(300.6 * RES, abs=RES)
 
+    def test_selection_matches_loop_rule(self):
+        # reference: the per-bin loop rule, stable-sorted by power (ties keep bin order)
+        rng = np.random.default_rng(7)
+        noisy = periodogram(TimeSeries(T, rng.normal(size=N), "noise"))
+        tied = np.zeros(noisy.power.size)
+        tied[[40, 90, 140, 300]] = [1.0, 0.5, 1.0, 0.5]
+        for spec, cut in ((noisy, 0.3), (replace(noisy, power=tied), 0.01)):
+            p = spec.power
+            ref = [k for k in range(1, p.size - 1)
+                   if p[k] >= cut * np.max(p[1:]) and p[k] > p[k - 1] and p[k] >= p[k + 1]]
+            ref.sort(key=lambda k: -p[k])
+            got = extract_peaks(spec, max_peaks=8, rel_threshold=cut)
+            assert [pk.power for pk in got.peaks] == [float(p[k]) for k in ref[:8]]
+            assert all(abs(pk.omega - spec.freqs[k]) <= RES
+                       for pk, k in zip(got.peaks, ref[:8]))
+
     def test_max_peaks_cap(self):
         series = tone_series([(1.0, (60 + 40 * i) * RES, 0.1 * i) for i in range(6)])
         pk = extract_peaks(periodogram(series), max_peaks=3)
         assert len(pk.peaks) == 3
+
+
+def dense_dtft_maximum(spec, center, half_width):
+    """argmax of |X(omega)|^2 on [center - half_width, center + half_width].
+
+    Plain DTFT on the series' own time axis, searched on grids that zoom in
+    until the spacing is below 1e-7 bin; independent of the refiner.
+    """
+    t = spec.dt * np.arange(spec.windowed.size)
+    lo, hi = center - half_width, center + half_width
+    while True:
+        grid = np.linspace(lo, hi, 201)
+        power = np.abs(np.exp(-1j * np.outer(grid, t)) @ spec.windowed) ** 2
+        best = grid[int(np.argmax(power))]
+        step = grid[1] - grid[0]
+        if step < 1e-7 * spec.resolution:
+            return best
+        lo, hi = best - 2.0 * step, best + 2.0 * step
+
+
+class TestNewtonRefinement:
+    """Refined peaks sit on the maximum of |X(omega)|^2 to 1e-6 bin."""
+
+    @pytest.mark.parametrize("window", ["hann", "rect"])
+    @pytest.mark.parametrize("offset", [0.0, 0.25, 0.5, 0.9])
+    def test_single_tone_on_dtft_maximum(self, window, offset):
+        w0 = (100 + offset) * RES
+        spec = periodogram(tone_series([(1.0, w0, 0.3)]), window)
+        pk = extract_peaks(spec)
+        assert len(pk.peaks) == 1
+        target = dense_dtft_maximum(spec, w0, RES)
+        assert abs(pk.peaks[0].omega - target) <= 1e-6 * RES
+
+    # rect, 3.5 bins, 0.3 amplitude: unclipped steps carry the weak peak 1.7 bins off
+    @pytest.mark.parametrize("window,sep,amp,phase", [("hann", 3.0, 0.8, 1.3),
+                                                      ("rect", 3.5, 0.3, 1.2)])
+    def test_close_tones_stay_on_their_own_peaks(self, window, sep, amp, phase):
+        w_lo, w_hi = 200.0 * RES, (200.0 + sep) * RES
+        spec = periodogram(tone_series([(1.0, w_lo, 0.2), (amp, w_hi, phase)]), window)
+        pk = extract_peaks(spec)
+        assert len(pk.peaks) == 2
+        low, high = sorted(pk.omegas())
+        for got, w0 in ((low, w_lo), (high, w_hi)):
+            assert abs(got - w0) < 0.1 * RES
+            assert abs(got - dense_dtft_maximum(spec, w0, RES)) <= 1e-6 * RES
+
+    def test_eight_peaks_refined_in_one_batch(self):
+        bins = 60.0 + 45.0 * np.arange(8) + np.array([0.0, 0.1, 0.25, 0.4, 0.5, 0.65, 0.8, 0.9])
+        amps = np.linspace(1.0, 0.3, 8)
+        spec = periodogram(tone_series(zip(amps, bins * RES, 0.7 * np.arange(8))))
+        pk = extract_peaks(spec, max_peaks=8)
+        assert len(pk.peaks) == 8
+        found = np.sort(pk.omegas())
+        for got, b in zip(found, bins):
+            assert abs(got - dense_dtft_maximum(spec, b * RES, RES)) <= 1e-6 * RES
 
 
 class TestMatchFrequencies:
