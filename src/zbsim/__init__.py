@@ -16,22 +16,17 @@ from .algebra import (
     build_operators,
     eigensystem_analytic,
     eigensystem_numeric,
+    label_index,
     matrix_element,
 )
 from .dynamics import (
     OBSERVABLE_TAGS,
-    AmplitudeSet,
     TimeSeries,
+    analytic_series,
     default_time_grid,
-    evolve_mode,
     expectation_series,
-    initial_modes,
-    longitudinal_position_series,
-    longitudinal_velocity_series,
     spin_x_constant,
-    transverse_matrix_elements,
-    transverse_position_series,
-    transverse_spin_series_analytic,
+    tone_amplitudes,
 )
 from .spectral import (
     MatchReport,
@@ -61,13 +56,11 @@ from .spectrum import (
 from .wavepacket import (
     DEFAULT_MIX,
     EQUAL_MIX,
-    ModeState,
     Wavepacket,
     gaussian_packet,
     packet_from_dict,
     packet_to_dict,
     single_mode,
-    validate,
 )
 
 __version__ = "0.1.0"

@@ -26,7 +26,6 @@ __all__ = [
     "BRANCH_SPIN_LABELS",
     "LABEL_NAMES",
     "label_index",
-    "label_name",
     "DiracOperatorSet",
     "ParticleConfig",
     "EigenSystem",
@@ -54,10 +53,6 @@ def label_index(l: int, s: int) -> int:
     if l not in (+1, -1) or s not in (+1, -1):
         raise ValueError(f"labels must be +1 or -1, got (l={l}, s={s})")
     return BRANCH_SPIN_LABELS.index((l, s))
-
-
-def label_name(l: int, s: int) -> str:
-    return LABEL_NAMES[label_index(l, s)]
 
 
 def _pauli() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -93,9 +88,6 @@ class DiracOperatorSet:
 
     def spin(self, axis: str) -> np.ndarray:
         return {"x": self.spin_x, "y": self.spin_y, "z": self.spin_z}[axis]
-
-    def sigma_big(self, axis: str) -> np.ndarray:
-        return {"x": self.sigma_x_big, "y": self.sigma_y_big, "z": self.sigma_z_big}[axis]
 
 
 def build_operators(hbar: float = 1.0) -> DiracOperatorSet:
@@ -145,14 +137,11 @@ class ParticleConfig:
     B_field: float = 0.0
     E_field: float = 0.0
     delta: float | None = None
-    unit_system: str = "natural"
 
     def __post_init__(self) -> None:
         for name in ("mass", "c", "hbar"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.unit_system not in ("natural", "si"):
-            raise ConfigError(f"unknown unit system {self.unit_system!r}")
         derived = self.d * self.E_field - self.mu * self.B_field
         if self.delta is None:
             object.__setattr__(self, "delta", derived)

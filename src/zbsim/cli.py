@@ -8,6 +8,7 @@ significant digits, sorted JSON keys, no timestamps.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import sys
@@ -44,9 +45,6 @@ SI_HBAR = 1.054571817e-34
 PEAK_TOL_REL = 1e-3
 BEAT_TOL_REL = 1e-2
 SPIN_X_DRIFT_TOL = 1e-10
-
-_FREQ_COLUMNS = ("omega_L", "omega_zb1", "omega_zb2", "omega_zb3",
-                 "omega_sb", "omega_ob1", "omega_ob2", "omega_forbidden")
 
 _FIGURES = {
     "fig1": ("v", "omega_zb"),
@@ -109,6 +107,8 @@ def _parse_mix(text: str) -> tuple[complex, ...]:
     parts = [complex(chunk) for chunk in text.split(",")]
     if len(parts) != 4:
         raise ValueError("mix needs 4 comma-separated amplitudes (+up,+down,-up,-down)")
+    if not all(cmath.isfinite(x) for x in parts):
+        raise ConfigError(f"--mix amplitudes must be finite, got {text}")
     return tuple(parts)
 
 
@@ -167,6 +167,12 @@ def _require_finite(**values: float) -> None:
             raise ConfigError(f"--{name.replace('_', '-')} must be finite, got {value}")
 
 
+def _require_positive(**values: float) -> None:
+    for name, value in values.items():
+        if not (value > 0 and math.isfinite(value)):
+            raise ConfigError(f"--{name.replace('_', '-')} must be positive and finite, got {value}")
+
+
 def _resolve_momentum(args: argparse.Namespace, cfg: ParticleConfig) -> tuple[float, float | None]:
     """(p, v or None) in natural units from --p / --v."""
     if args.p is not None and args.v is not None:
@@ -184,13 +190,13 @@ def cmd_frequencies(args: argparse.Namespace) -> int:
     p, v = _resolve_momentum(args, cfg)
     fs = frequency_set(p, cfg)
     row = {"p": p * scales.momentum, "delta": cfg.delta, "v": v}
-    for name in _FREQ_COLUMNS:
+    for name in FrequencySet.FIELDS:
         row[name] = getattr(fs, name) * scales.frequency
     row["omega_zb"] = free_zb_frequency(p, cfg) * scales.frequency
     if args.format == "json":
         text = _json_text(row)
     else:
-        header = ("p", "delta", "omega_zb") + _FREQ_COLUMNS
+        header = ("p", "delta", "omega_zb") + FrequencySet.FIELDS
         text = _csv_text(header, [tuple(row[h] for h in header)])
     _write_text(text, args.out)
     return EXIT_OK
@@ -204,10 +210,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for row in rows:
         rec = {"v": row.v, "p": row.p * scales.momentum,
                "omega_zb": free_zb_frequency(row.p, cfg) * scales.frequency}
-        for name in _FREQ_COLUMNS:
+        for name in FrequencySet.FIELDS:
             rec[name] = getattr(row.freqs, name) * scales.frequency
         records.append(rec)
-    header = _FIGURES.get(args.figure, ("v", "p", "omega_zb") + _FREQ_COLUMNS)
+    header = _FIGURES.get(args.figure, ("v", "p", "omega_zb") + FrequencySet.FIELDS)
     if args.format == "json":
         text = _json_text([{h: rec[h] for h in header} for rec in records])
     else:
@@ -225,7 +231,11 @@ def _build_packet(args: argparse.Namespace, cfg: ParticleConfig):
 
 
 def _time_grid(args: argparse.Namespace, fs: FrequencySet) -> np.ndarray:
+    if args.samples < 2:
+        raise ConfigError(f"--samples must be at least 2, got {args.samples}")
+    _require_positive(periods=args.periods)
     if args.t_max is not None:
+        _require_positive(t_max=args.t_max)
         return np.linspace(0.0, args.t_max, args.samples, endpoint=False)
     return default_time_grid(fs, periods=args.periods, samples=args.samples)
 
@@ -260,7 +270,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
 
 
 _BEAT_LABELS = {
-    frozenset(("omega_L", "omega_zb2")): "omega_ob2",
+    frozenset(("omega_L", "omega_zb2")): "omega_sb",
     frozenset(("omega_zb1", "omega_zb3")): "omega_ob1",
 }
 

@@ -7,13 +7,12 @@ Two independent routes to every observable:
   integrates the velocity contraction term-by-term, exactly). It assumes
   nothing about which cross terms survive.
 
-* The `*_series_analytic` / `*_velocity_series` / `*_position_series`
-  functions build the series from the known tone structure: Larmor tones from
-  same-branch opposite-spin cross terms, ZB tones from opposite-branch cross
-  terms, with matrix elements contracted from the numerically labeled
-  eigenspinors (closed-form element expressions are kept as cross-checks in
-  `transverse_matrix_elements`, since their radical branches are ambiguous
-  for negative energies).
+* `analytic_series` sums the closed-form tones of one tone table. The table
+  (`_CROSS_TERMS`) names the cross terms that survive: Larmor tones from
+  same-branch opposite-spin pairs, ZB tones from opposite-branch pairs. Each
+  tone's frequency is a closed-form level difference; its amplitude contracts
+  the numerically labeled eigenspinors. `tone_amplitudes` and
+  `spin_x_constant` read the same table.
 
 The two routes must agree pointwise; the test suite holds them to 1e-9.
 """
@@ -29,30 +28,22 @@ from .algebra import (
     BRANCH_SPIN_LABELS,
     DiracOperatorSet,
     EigenSystem,
-    ParticleConfig,
     build_hamiltonian,
     build_operators,
     eigensystem_numeric,
     label_index,
     matrix_element,
 )
-from .spectrum import FrequencySet, frequency_set
-from .wavepacket import ModeState, Wavepacket
+from .spectrum import FrequencySet, branch_energy, frequency_set
+from .wavepacket import Wavepacket
 
 __all__ = [
     "OBSERVABLE_TAGS",
     "TimeSeries",
-    "AmplitudeSet",
     "default_time_grid",
-    "evolve_mode",
-    "initial_modes",
     "expectation_series",
+    "analytic_series",
     "spin_x_constant",
-    "transverse_spin_series_analytic",
-    "longitudinal_velocity_series",
-    "longitudinal_position_series",
-    "transverse_position_series",
-    "transverse_matrix_elements",
     "tone_amplitudes",
 ]
 
@@ -64,6 +55,20 @@ OBSERVABLE_TAGS = (
 
 _IMAG_TOL = 1e-12
 CSV_HEADER = "t,value,observable,p0,delta"
+
+#: Surviving cross terms (tone label, bra (l, s), ket (l, s)) of each spin and
+#: velocity observable; every other off-diagonal element vanishes. The term
+#: and its conjugate pair contribute 2*Re[A*exp(i*omega*t)] together.
+_CROSS_TERMS = {
+    "S_x": (),
+    "alpha_x": (("omega_zb1", (+1, +1), (-1, +1)), ("omega_zb3", (+1, -1), (-1, -1))),
+    **dict.fromkeys(("S_y", "S_z", "alpha_y", "alpha_z"), (
+        ("omega_L", (+1, +1), (+1, -1)),
+        ("omega_L", (-1, +1), (-1, -1)),
+        ("omega_zb2", (+1, +1), (-1, -1)),
+        ("omega_zb2", (+1, -1), (-1, +1)),
+    )),
+}
 
 
 @dataclass(frozen=True)
@@ -110,46 +115,6 @@ class TimeSeries:
             fh.write(f"{t:.12g},{x:.12g},{self.observable_tag},{p0:.12g},{delta:.12g}\n")
 
 
-@dataclass(frozen=True)
-class AmplitudeSet:
-    """Transverse/longitudinal ZB amplitudes at fixed momentum.
-
-    N1/N2 are the longitudinal branch-interference amplitudes
-    <+,s|alpha_x|-,s> (magnitude (m*c^2 + s*delta)/E+^s, nonzero even at
-    p = 0). `larmor` holds the same-branch opposite-spin transverse elements
-    keyed (axis, l); `zb` the opposite-branch elements keyed (axis, ket spin).
-    `larmor_closed_magnitude` records |c*p*(hbar*omega_L -+ 2*delta)| / zeta
-    (l = -1) and .../ eta (l = +1) wherever those radicands are positive;
-    entries are None where the closed form degenerates to 0/0.
-    """
-
-    p: float
-    delta: float
-    N1: float
-    N2: float
-    zeta: float
-    eta: float
-    larmor: dict[tuple[str, int], complex]
-    zb: dict[tuple[str, int], complex]
-    larmor_closed_magnitude: dict[int, float | None]
-
-    def dominance_report(self) -> dict[str, dict[str, float | str]]:
-        """Compare negative- vs positive-branch Larmor-tone magnitudes per axis."""
-        report: dict[str, dict[str, float | str]] = {}
-        for axis in ("y", "z"):
-            neg = abs(self.larmor[(axis, -1)])
-            pos = abs(self.larmor[(axis, +1)])
-            if pos == neg == 0.0:
-                verdict = "vanishing"
-            elif abs(neg - pos) <= 1e-2 * max(neg, pos):
-                verdict = "comparable"
-            else:
-                verdict = "negative_branch" if neg > pos else "positive_branch"
-            report[axis] = {"negative_branch": neg, "positive_branch": pos,
-                            "dominant": verdict}
-        return report
-
-
 def default_time_grid(
     freqs: FrequencySet, periods: float = 20.0, samples: int = 4096
 ) -> np.ndarray:
@@ -160,6 +125,17 @@ def default_time_grid(
     return np.linspace(0.0, t_max, samples, endpoint=False)
 
 
+def _check_tag(observable_tag: str) -> None:
+    if observable_tag not in OBSERVABLE_TAGS:
+        raise ValueError(f"unknown observable {observable_tag!r}; expected one of {OBSERVABLE_TAGS}")
+
+
+def _operator(ops: DiracOperatorSet, observable_tag: str) -> np.ndarray:
+    """S_j for spin tags; alpha_j for velocity tags and for r_j, the integral of c*alpha_j."""
+    kind, axis = observable_tag.split("_")
+    return ops.spin(axis) if kind == "S" else ops.alpha(axis)
+
+
 def _mode_eigensystems(wp: Wavepacket) -> tuple[DiracOperatorSet, list[EigenSystem]]:
     ops = build_operators(wp.cfg.hbar)
     eigs = [
@@ -167,24 +143,6 @@ def _mode_eigensystems(wp: Wavepacket) -> tuple[DiracOperatorSet, list[EigenSyst
         for p in wp.grid
     ]
     return ops, eigs
-
-
-def initial_modes(wp: Wavepacket) -> list[ModeState]:
-    """Per-mode t=0 spinors psi_k = sum_{l,s} c_{l,s,k} |l,s>."""
-    _, eigs = _mode_eigensystems(wp)
-    return [
-        ModeState(p=eig.p, spinor=eig.spinors @ wp.coeffs[:, k], t=0.0)
-        for k, eig in enumerate(eigs)
-    ]
-
-
-def evolve_mode(state: ModeState, dt: float, eig: EigenSystem, hbar: float = 1.0) -> ModeState:
-    """Exact eigenphase evolution psi(t+dt) = sum_i e^{-i E_i dt/hbar} |v_i><v_i|psi(t)>."""
-    if abs(state.p - eig.p) > 1e-12 * max(1.0, abs(state.p), abs(eig.p)):
-        raise ValueError(f"eigensystem momentum {eig.p} does not match state momentum {state.p}")
-    amps = eig.spinors.conj().T @ state.spinor
-    amps = amps * np.exp(-1j * eig.energies * dt / hbar)
-    return ModeState(p=state.p, spinor=eig.spinors @ amps, t=state.t + dt)
 
 
 def _check_real(values: np.ndarray, what: str) -> np.ndarray:
@@ -236,152 +194,74 @@ def _oracle_position(wp: Wavepacket, op: np.ndarray, t_grid: np.ndarray) -> np.n
 
 def expectation_series(wp: Wavepacket, observable_tag: str, t_grid: np.ndarray) -> TimeSeries:
     """Brute-force oracle series for any observable tag."""
-    if observable_tag not in OBSERVABLE_TAGS:
-        raise ValueError(f"unknown observable {observable_tag!r}; expected one of {OBSERVABLE_TAGS}")
+    _check_tag(observable_tag)
     t_grid = np.asarray(t_grid, dtype=float)
-    ops = build_operators(wp.cfg.hbar)
-    kind, axis = observable_tag.split("_")
-    if kind == "S":
-        vals = _oracle_contraction(wp, ops.spin(axis), t_grid)
-    elif kind == "alpha":
-        vals = _oracle_contraction(wp, ops.alpha(axis), t_grid)
+    op = _operator(build_operators(wp.cfg.hbar), observable_tag)
+    if observable_tag.startswith("r_"):
+        vals = _oracle_position(wp, op, t_grid)
     else:
-        vals = _oracle_position(wp, ops.alpha(axis), t_grid)
+        vals = _oracle_contraction(wp, op, t_grid)
+    return TimeSeries(times=t_grid, values=vals, observable_tag=observable_tag)
+
+
+def _tone_table(wp: Wavepacket, observable_tag: str) -> tuple[float, list[tuple[str, float, complex]]]:
+    """(constant, [(tone label, omega, A)]) of an observable over every mode.
+
+    The series is constant + sum 2*Re[A*exp(i*omega*t)]. omega is the signed
+    closed-form level difference (l_bra*E_bra - l_ket*E_ket)/hbar and A the
+    weighted amplitude w*conj(c_bra)*c_ket*<bra|O|ket>. For r_j the table is
+    that of its rate c*alpha_j, which callers integrate.
+    """
+    cfg = wp.cfg
+    kind, axis = observable_tag.split("_")
+    rate = cfg.c if kind == "r" else 1.0
+    key = f"alpha_{axis}" if kind == "r" else observable_tag
+    ops, eigs = _mode_eigensystems(wp)
+    op = _operator(ops, observable_tag)
+    constant = 0.0
+    terms: list[tuple[str, float, complex]] = []
+    for k, eig in enumerate(eigs):
+        p, w, c = wp.grid[k], wp.weights[k], wp.coeffs[:, k]
+        energy = {s: branch_energy(p, cfg, s) for s in (+1, -1)}
+        for i, (l, s) in enumerate(BRANCH_SPIN_LABELS):
+            if key == "S_x":
+                constant += w * abs(c[i]) ** 2 * s * cfg.hbar / 2.0
+            elif key == "alpha_x":  # group velocity c*p/E of the level
+                constant += w * abs(c[i]) ** 2 * cfg.c * p / (l * energy[s])
+        for label, (lb, sb), (lk, sk) in _CROSS_TERMS[key]:
+            omega = (lb * energy[sb] - lk * energy[sk]) / cfg.hbar
+            bra, ket = label_index(lb, sb), label_index(lk, sk)
+            elem = matrix_element(op, eig.spinors[:, bra], eig.spinors[:, ket])
+            terms.append((label, omega, rate * w * np.conj(c[bra]) * c[ket] * elem))
+    return rate * constant, terms
+
+
+def analytic_series(wp: Wavepacket, observable_tag: str, t_grid: np.ndarray) -> TimeSeries:
+    """Closed-form series for any observable tag, summed from its tone table.
+
+    Position tags integrate the rate table exactly from r(0) = 0: a tone
+    becomes A*(e^{i w t} - 1)/(i w), and a zero-frequency term (omega_L at
+    delta = 0) or the constant becomes a linear drift.
+    """
+    _check_tag(observable_tag)
+    t_grid = np.asarray(t_grid, dtype=float)
+    constant, terms = _tone_table(wp, observable_tag)
+    position = observable_tag.startswith("r_")
+    vals = constant * t_grid if position else np.full(t_grid.size, constant)
+    for _, omega, amp in terms:
+        if not position:
+            shape = np.exp(1j * omega * t_grid)
+        elif omega == 0.0:
+            shape = t_grid
+        else:
+            shape = (np.exp(1j * omega * t_grid) - 1.0) / (1j * omega)
+        vals = vals + 2.0 * np.real(amp * shape)
     return TimeSeries(times=t_grid, values=vals, observable_tag=observable_tag)
 
 
 def spin_x_constant(wp: Wavepacket) -> float:
-    """Helicity expectation sum_k w_k sum_{l,s} |c|^2 <l,s|S_x|l,s>; a constant of motion."""
-    ops, eigs = _mode_eigensystems(wp)
-    total = 0.0
-    for k, eig in enumerate(eigs):
-        diag = np.real(np.einsum("ik,ij,jk->k", eig.spinors.conj(), ops.spin_x, eig.spinors))
-        total += wp.weights[k] * float(np.sum(np.abs(wp.coeffs[:, k]) ** 2 * diag))
-    return total
-
-
-def _tone_terms(
-    wp: Wavepacket,
-    eigs: list[EigenSystem],
-    op_of_axis,
-    parts: str,
-):
-    """Yield (weight, amplitude, omega) for every surviving cross term.
-
-    Larmor terms pair (l,up) with (l,down) at frequency l*omega_L; ZB terms
-    pair (+,s') with (-,s), s' != s, at omega_zb2.
-    """
-    if parts not in ("both", "larmor", "zb"):
-        raise ValueError(f"parts must be 'both', 'larmor' or 'zb', got {parts!r}")
-    for k, eig in enumerate(eigs):
-        fs = frequency_set(wp.grid[k], wp.cfg)
-        c = wp.coeffs[:, k]
-        w = wp.weights[k]
-        op = op_of_axis(k)
-        if parts in ("both", "larmor"):
-            for l in (+1, -1):
-                m = matrix_element(op, eig.spinor(l, +1), eig.spinor(l, -1))
-                amp = np.conj(c[label_index(l, +1)]) * c[label_index(l, -1)] * m
-                yield w, amp, l * fs.omega_L
-        if parts in ("both", "zb"):
-            for s_bra, s_ket in ((+1, -1), (-1, +1)):
-                m = matrix_element(op, eig.spinor(+1, s_bra), eig.spinor(-1, s_ket))
-                amp = np.conj(c[label_index(+1, s_bra)]) * c[label_index(-1, s_ket)] * m
-                yield w, amp, fs.omega_zb2
-
-
-def transverse_spin_series_analytic(
-    wp: Wavepacket, axis: str, t_grid: np.ndarray, parts: str = "both"
-) -> TimeSeries:
-    """<S_y> or <S_z> as the two-tone sum of Larmor and spin-ZB cross terms."""
-    if axis not in ("y", "z"):
-        raise ValueError(f"axis must be 'y' or 'z', got {axis!r}")
-    t_grid = np.asarray(t_grid, dtype=float)
-    ops, eigs = _mode_eigensystems(wp)
-    vals = np.zeros(t_grid.size)
-    for w, amp, omega in _tone_terms(wp, eigs, lambda k: ops.spin(axis), parts):
-        vals += w * 2.0 * np.real(amp * np.exp(1j * omega * t_grid))
-    return TimeSeries(times=t_grid, values=vals, observable_tag=f"S_{axis}")
-
-
-def longitudinal_velocity_series(wp: Wavepacket, t_grid: np.ndarray) -> TimeSeries:
-    """<alpha_x>: group-velocity constant plus the omega_zb1/omega_zb3 tones.
-
-    The branch-interference amplitudes are the contracted elements
-    <+,s|alpha_x|-,s>; they survive in the rest frame (magnitude 1 at p = 0),
-    where the tones reduce to textbook free ZB with shifted frequencies.
-    """
-    t_grid = np.asarray(t_grid, dtype=float)
-    ops, eigs = _mode_eigensystems(wp)
-    vals = np.zeros(t_grid.size)
-    for k, eig in enumerate(eigs):
-        fs = frequency_set(wp.grid[k], wp.cfg)
-        c = wp.coeffs[:, k]
-        w = wp.weights[k]
-        for l, s in BRANCH_SPIN_LABELS:
-            group = wp.cfg.c * wp.grid[k] / eig.energy(l, s)
-            vals += w * abs(c[label_index(l, s)]) ** 2 * group
-        for s, omega in ((+1, fs.omega_zb1), (-1, fs.omega_zb3)):
-            m = matrix_element(ops.alpha_x, eig.spinor(+1, s), eig.spinor(-1, s))
-            amp = np.conj(c[label_index(+1, s)]) * c[label_index(-1, s)] * m
-            vals += w * 2.0 * np.real(amp * np.exp(1j * omega * t_grid))
-    return TimeSeries(times=t_grid, values=vals, observable_tag="alpha_x")
-
-
-def longitudinal_position_series(
-    wp: Wavepacket, t_grid: np.ndarray, r0: float = 0.0
-) -> TimeSeries:
-    """<r_x> = r0 + classical drift + ZB tones divided by their i*omega.
-
-    Defined relative to the initial position: each integrated tone carries
-    (e^{i w t} - 1), so the series starts at r0 and its derivative is
-    c*<alpha_x> exactly.
-    """
-    t_grid = np.asarray(t_grid, dtype=float)
-    ops, eigs = _mode_eigensystems(wp)
-    vals = np.full(t_grid.size, float(r0))
-    c_light = wp.cfg.c
-    for k, eig in enumerate(eigs):
-        fs = frequency_set(wp.grid[k], wp.cfg)
-        c = wp.coeffs[:, k]
-        w = wp.weights[k]
-        drift = 0.0
-        for l, s in BRANCH_SPIN_LABELS:
-            drift += abs(c[label_index(l, s)]) ** 2 * c_light * wp.grid[k] / eig.energy(l, s)
-        vals += w * c_light * drift * t_grid
-        for s, omega in ((+1, fs.omega_zb1), (-1, fs.omega_zb3)):
-            m = matrix_element(ops.alpha_x, eig.spinor(+1, s), eig.spinor(-1, s))
-            amp = np.conj(c[label_index(+1, s)]) * c[label_index(-1, s)] * m
-            vals += w * c_light * 2.0 * np.real(
-                amp * (np.exp(1j * omega * t_grid) - 1.0) / (1j * omega)
-            )
-    return TimeSeries(times=t_grid, values=vals, observable_tag="r_x")
-
-
-def transverse_position_series(
-    wp: Wavepacket, axis: str, t_grid: np.ndarray, r0: float = 0.0, parts: str = "both"
-) -> TimeSeries:
-    """<r_y> or <r_z>: Larmor tone over l*i*omega_L plus ZB tone over i*omega_zb2.
-
-    The Larmor tone is the orbital effect of spin splitting; its velocity
-    matrix elements scale with c*p*(hbar*omega_L -+ 2*delta), so the whole
-    term vanishes in the rest frame and when delta = 0 (where omega_L = 0 and
-    the integrated term degenerates to a zero-amplitude linear drift).
-    """
-    if axis not in ("y", "z"):
-        raise ValueError(f"axis must be 'y' or 'z', got {axis!r}")
-    t_grid = np.asarray(t_grid, dtype=float)
-    ops, eigs = _mode_eigensystems(wp)
-    vals = np.full(t_grid.size, float(r0))
-    c_light = wp.cfg.c
-    for w, amp, omega in _tone_terms(wp, eigs, lambda k: ops.alpha(axis), parts):
-        if omega == 0.0:
-            vals += w * c_light * 2.0 * np.real(amp) * t_grid
-        else:
-            vals += w * c_light * 2.0 * np.real(
-                amp * (np.exp(1j * omega * t_grid) - 1.0) / (1j * omega)
-            )
-    return TimeSeries(times=t_grid, values=vals, observable_tag=f"r_{axis}")
+    """Helicity expectation sum_k w_k sum_{l,s} |c|^2 * s*hbar/2; a constant of motion."""
+    return _tone_table(wp, "S_x")[0]
 
 
 def tone_amplitudes(wp: Wavepacket, observable_tag: str) -> dict[str, tuple[float, complex]]:
@@ -397,114 +277,16 @@ def tone_amplitudes(wp: Wavepacket, observable_tag: str) -> dict[str, tuple[floa
     with negative frequency (omega_L under delta < 0) are folded onto the
     positive line they produce in a real series.
     """
-    if observable_tag not in OBSERVABLE_TAGS:
-        raise ValueError(f"unknown observable {observable_tag!r}")
-    kind, axis = observable_tag.split("_")
-    ops, eigs = _mode_eigensystems(wp)
-    center = frequency_set(wp.mean_momentum(), wp.cfg)
-    out: dict[str, tuple[float, complex]] = {}
-
-    def add(label: str, omega: float, contribution: complex) -> None:
-        prev = out.get(label, (omega, 0.0 + 0.0j))
-        out[label] = (omega, prev[1] + contribution)
-
-    def folded() -> dict[str, tuple[float, complex]]:
-        # 2*Re[A e^{i w t}] == 2*Re[conj(A) e^{-i w t}]
-        return {label: (omega, amp) if omega >= 0.0 else (-omega, np.conj(amp))
-                for label, (omega, amp) in out.items()}
-
-    if kind == "alpha" and axis == "x" or kind == "r" and axis == "x":
-        for k, eig in enumerate(eigs):
-            fs = frequency_set(wp.grid[k], wp.cfg)
-            c = wp.coeffs[:, k]
-            w = wp.weights[k]
-            for s, label, omega_k, omega_c in (
-                (+1, "omega_zb1", fs.omega_zb1, center.omega_zb1),
-                (-1, "omega_zb3", fs.omega_zb3, center.omega_zb3),
-            ):
-                m = matrix_element(ops.alpha_x, eig.spinor(+1, s), eig.spinor(-1, s))
-                amp = np.conj(c[label_index(+1, s)]) * c[label_index(-1, s)] * m
-                if kind == "r":
-                    amp = wp.cfg.c * amp / (1j * omega_k)
-                add(label, omega_c, w * amp)
-        return folded()
-
-    if axis == "x":
+    _check_tag(observable_tag)
+    if observable_tag == "S_x":
         raise ValueError("S_x carries no tones; it is a constant of motion")
-    op = ops.spin(axis) if kind == "S" else ops.alpha(axis)
-    for k, eig in enumerate(eigs):
-        fs = frequency_set(wp.grid[k], wp.cfg)
-        c = wp.coeffs[:, k]
-        w = wp.weights[k]
-        for l in (+1, -1):
-            m = matrix_element(op, eig.spinor(l, +1), eig.spinor(l, -1))
-            amp = np.conj(c[label_index(l, +1)]) * c[label_index(l, -1)] * m
-            if kind == "r":
-                if fs.omega_L == 0.0:
-                    amp = wp.cfg.c * amp  # degenerate tone: linear-coefficient bookkeeping
-                else:
-                    amp = wp.cfg.c * amp / (1j * l * fs.omega_L)
-            # the l = -1 term oscillates at -omega_L; fold onto +omega_L by conjugation
-            add("omega_L", center.omega_L, w * (amp if l > 0 else np.conj(amp)))
-        for s_bra, s_ket in ((+1, -1), (-1, +1)):
-            m = matrix_element(op, eig.spinor(+1, s_bra), eig.spinor(-1, s_ket))
-            amp = np.conj(c[label_index(+1, s_bra)]) * c[label_index(-1, s_ket)] * m
-            if kind == "r":
-                amp = wp.cfg.c * amp / (1j * fs.omega_zb2)
-            add("omega_zb2", center.omega_zb2, w * amp)
-    return folded()
-
-
-def transverse_matrix_elements(p: float, cfg: ParticleConfig) -> AmplitudeSet:
-    """Contract every ZB/Larmor velocity matrix element at momentum p.
-
-    Closed-form magnitudes are recorded for cross-checking only where the
-    radicands are positive; the sign/branch of the negative-energy radicals is
-    convention-dependent, so no dominance direction is hard-coded (the report
-    in practice shows the two Larmor-tone magnitudes are equal).
-    """
-    ops = build_operators(cfg.hbar)
-    eig = eigensystem_numeric(build_hamiltonian(p, cfg, ops), ops, p=p, c=cfg.c)
-    fs = frequency_set(p, cfg)
-
-    def real_elem(op: np.ndarray, bra: np.ndarray, ket: np.ndarray) -> float:
-        val = matrix_element(op, bra, ket)
-        if abs(val.imag) > _IMAG_TOL * max(1.0, abs(val.real)):
-            raise ValueError(f"longitudinal element unexpectedly complex: {val}")
-        return val.real
-
-    n1 = real_elem(ops.alpha_x, eig.spinor(+1, +1), eig.spinor(-1, +1))
-    n2 = real_elem(ops.alpha_x, eig.spinor(+1, -1), eig.spinor(-1, -1))
-
-    larmor: dict[tuple[str, int], complex] = {}
-    zb: dict[tuple[str, int], complex] = {}
-    for axis in ("y", "z"):
-        op = ops.alpha(axis)
-        for l in (+1, -1):
-            larmor[(axis, l)] = matrix_element(op, eig.spinor(l, +1), eig.spinor(l, -1))
-        for s_ket in (+1, -1):
-            zb[(axis, s_ket)] = matrix_element(op, eig.spinor(+1, -s_ket), eig.spinor(-1, s_ket))
-
-    e_pu, e_pd = eig.energy(+1, +1), eig.energy(+1, -1)
-    e0u, e0d = cfg.rest_energy_up, cfg.rest_energy_down
-    eta_rad = e_pu * e_pd * (e_pu + e0u) * (e_pd + e0d)
-    zeta_rad = (-e_pu) * (-e_pd) * (-e_pu + e0u) * (-e_pd + e0d)
-    eta = 2.0 * float(np.sqrt(eta_rad))
-    zeta = 2.0 * float(np.sqrt(max(zeta_rad, 0.0)))
-    cp = cfg.c * p
-    closed: dict[int, float | None] = {
-        +1: abs(cp * (cfg.hbar * fs.omega_L + 2.0 * cfg.delta)) / eta if eta > 0 else None,
-        -1: abs(cp * (cfg.hbar * fs.omega_L - 2.0 * cfg.delta)) / zeta if zeta > 0 else None,
-    }
-
-    return AmplitudeSet(
-        p=float(p),
-        delta=cfg.delta,
-        N1=n1,
-        N2=n2,
-        zeta=zeta,
-        eta=eta,
-        larmor=larmor,
-        zb=zb,
-        larmor_closed_magnitude=closed,
-    )
+    center = frequency_set(wp.mean_momentum(), wp.cfg).tones()
+    position = observable_tag.startswith("r_")
+    out: dict[str, tuple[float, complex]] = {}
+    for label, omega, amp in _tone_table(wp, observable_tag)[1]:
+        if position and omega != 0.0:
+            amp = amp / (1j * omega)
+        if omega < 0.0:  # 2*Re[A e^{i w t}] == 2*Re[conj(A) e^{-i w t}]
+            amp = np.conj(amp)
+        out[label] = (center[label], out.get(label, (0.0, 0j))[1] + amp)
+    return out

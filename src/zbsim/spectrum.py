@@ -54,7 +54,6 @@ class FrequencySet:
     omega_zb3: float
     omega_sb: float
     omega_ob1: float
-    omega_ob2: float
     omega_forbidden: float
 
     #: Field order used by table/CSV renderings.
@@ -65,7 +64,6 @@ class FrequencySet:
         "omega_zb3",
         "omega_sb",
         "omega_ob1",
-        "omega_ob2",
         "omega_forbidden",
     )
 
@@ -137,7 +135,6 @@ def frequency_set(p: float, cfg: ParticleConfig) -> FrequencySet:
         omega_zb3=omega_zb3,
         omega_sb=omega_zb2 - omega_L,
         omega_ob1=omega_zb1 - omega_zb3,
-        omega_ob2=omega_zb2 - omega_L,
         omega_forbidden=2.0 * cfg.mc2 / hbar,
     )
 

@@ -20,12 +20,10 @@ from .algebra import BRANCH_SPIN_LABELS, LABEL_NAMES, ParticleConfig
 
 __all__ = [
     "Wavepacket",
-    "ModeState",
     "EQUAL_MIX",
     "DEFAULT_MIX",
     "gaussian_packet",
     "single_mode",
-    "validate",
     "packet_to_dict",
     "packet_from_dict",
 ]
@@ -92,15 +90,6 @@ class Wavepacket:
         return float(np.sum(dens * self.grid))
 
 
-@dataclass(frozen=True)
-class ModeState:
-    """Instantaneous 4-spinor of a single momentum mode (oracle evolution carrier)."""
-
-    p: float
-    spinor: np.ndarray
-    t: float = 0.0
-
-
 def _trapezoid_weights(grid: np.ndarray) -> np.ndarray:
     if grid.size == 1:
         return np.ones(1)
@@ -162,19 +151,6 @@ def single_mode(
     return _normalized(np.array([float(p)]), np.ones(1), mix_arr[:, None].copy(), cfg)
 
 
-def validate(wp: Wavepacket) -> dict:
-    """Diagnostics: normalization residual, grid shape checks, occupancies."""
-    grid = wp.grid
-    return {
-        "norm_residual": abs(wp.norm() - 1.0),
-        "n_modes": wp.n_modes,
-        "grid_strictly_increasing": bool(grid.size < 2 or np.all(np.diff(grid) > 0)),
-        "weights_positive": bool(np.all(wp.weights > 0)),
-        "occupancy": wp.occupancy(),
-        "mean_momentum": wp.mean_momentum(),
-    }
-
-
 def packet_to_dict(wp: Wavepacket) -> dict:
     """JSON-ready document; complex amplitudes become [re, im] pairs."""
     return {
@@ -183,7 +159,6 @@ def packet_to_dict(wp: Wavepacket) -> dict:
             "c": wp.cfg.c,
             "hbar": wp.cfg.hbar,
             "delta": wp.cfg.delta,
-            "unit_system": wp.cfg.unit_system,
         },
         "grid": [float(p) for p in wp.grid],
         "weights": [float(w) for w in wp.weights],
@@ -195,13 +170,13 @@ def packet_to_dict(wp: Wavepacket) -> dict:
 
 
 def packet_from_dict(doc: dict) -> Wavepacket:
+    """Inverse of packet_to_dict; config keys other than mass, c, hbar and delta are ignored."""
     cfg_doc = doc["config"]
     cfg = ParticleConfig(
         mass=cfg_doc["mass"],
         c=cfg_doc["c"],
         hbar=cfg_doc["hbar"],
         delta=cfg_doc["delta"],
-        unit_system=cfg_doc.get("unit_system", "natural"),
     )
     grid = np.asarray(doc["grid"], dtype=float)
     weights = np.asarray(doc["weights"], dtype=float)

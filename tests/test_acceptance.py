@@ -17,15 +17,12 @@ from zbsim.algebra import (
 )
 from zbsim.cli import main
 from zbsim.dynamics import (
+    OBSERVABLE_TAGS,
+    analytic_series,
     default_time_grid,
-    evolve_mode,
     expectation_series,
-    initial_modes,
-    longitudinal_position_series,
-    longitudinal_velocity_series,
     spin_x_constant,
-    transverse_position_series,
-    transverse_spin_series_analytic,
+    tone_amplitudes,
 )
 from zbsim.spectral import beat_envelope, extract_peaks, match_frequencies, periodogram
 from zbsim.spectrum import free_zb_frequency, frequency_set, rest_frame_longitudinal, sweep
@@ -175,9 +172,8 @@ def test_criterion_08_transverse_channel_pipeline(suite_packet, suite_freqs, sui
     nosplit = single_mode(SUITE_P0, DEFAULT_MIX, ParticleConfig.natural(0.0))
     residual = 0.0
     for packet in (rest, nosplit):
-        for axis in ("y", "z"):
-            part = transverse_position_series(packet, axis, suite_grid, parts="larmor")
-            residual = max(residual, float(np.max(np.abs(part.values))))
+        for tag in ("r_y", "r_z"):
+            residual = max(residual, abs(tone_amplitudes(packet, tag)["omega_L"][1]))
     ok = ok and residual <= 1e-12
     report(8, f"r_y/r_z peaks {{omega_L, omega_zb2}}; Larmor-tone null at p=0 and "
               f"delta=0 (residual {residual:.1e})", ok)
@@ -195,13 +191,13 @@ def test_criterion_09_conservation_suite(ops, suite_grid):
         eigs = [eigensystem_numeric(build_hamiltonian(p, wp.cfg, ops), ops, p=p)
                 for p in wp.grid]
         hams = [build_hamiltonian(p, wp.cfg, ops) for p in wp.grid]
-        states = initial_modes(wp)
         traces = {"norm": [], "energy": [], "spin_x": [], "pops": []}
         for t in np.linspace(0.0, suite_grid[-1], 8):
             norm = energy = helicity = 0.0
             pops = np.zeros(4)
-            for k, (state, eig) in enumerate(zip(states, eigs)):
-                psi = evolve_mode(state, float(t), eig).spinor
+            for k, eig in enumerate(eigs):
+                # eigenphase evolution psi_k(t) = V_k (e^{-i E_k t / hbar} * c_k)
+                psi = eig.spinors @ (np.exp(-1j * eig.energies * t / wp.cfg.hbar) * wp.coeffs[:, k])
                 w = wp.weights[k]
                 norm += w * float(np.real(psi.conj() @ psi))
                 energy += w * float(np.real(psi.conj() @ hams[k] @ psi))
@@ -227,8 +223,8 @@ def test_criterion_09_conservation_suite(ops, suite_grid):
 def test_criterion_10_kinematic_consistency(suite_packet, suite_freqs):
     dt = (2.0 * np.pi / suite_freqs.omega_zb1) / 200.0
     t = np.arange(0.0, 4096) * dt
-    r = longitudinal_position_series(suite_packet, t).values
-    v = longitudinal_velocity_series(suite_packet, t).values
+    r = analytic_series(suite_packet, "r_x", t).values
+    v = analytic_series(suite_packet, "alpha_x", t).values
     deriv = (r[:-4] - 8.0 * r[1:-3] + 8.0 * r[3:-1] - r[4:]) / (12.0 * dt)
     err = float(np.max(np.abs(deriv - suite_packet.cfg.c * v[2:-2])))
     report(10, f"d<r_x>/dt = c<alpha_x> at dt = T1/200 (max err {err:.1e})", err <= 1e-6)
@@ -241,23 +237,18 @@ def test_criterion_11_analytic_vs_oracle_series():
         single_mode(0.0, DEFAULT_MIX, cfg),
         single_mode(SUITE_P0, DEFAULT_MIX, ParticleConfig.natural(0.0)),
         gaussian_packet(SUITE_P0, 0.05, DEFAULT_MIX, 32, cfg),
+        single_mode(SUITE_P0, DEFAULT_MIX, ParticleConfig.natural(-SUITE_DELTA)),
+        single_mode(-SUITE_P0, DEFAULT_MIX, cfg),
     ]
     worst = 0.0
     for wp in packets:
         fs = frequency_set(wp.mean_momentum(), wp.cfg)
         t = default_time_grid(fs, periods=20.0, samples=1024)
-        closed = {
-            "S_y": transverse_spin_series_analytic(wp, "y", t),
-            "S_z": transverse_spin_series_analytic(wp, "z", t),
-            "alpha_x": longitudinal_velocity_series(wp, t),
-            "r_x": longitudinal_position_series(wp, t),
-            "r_y": transverse_position_series(wp, "y", t),
-            "r_z": transverse_position_series(wp, "z", t),
-        }
-        for tag, analytic in closed.items():
+        for tag in OBSERVABLE_TAGS:
+            analytic = analytic_series(wp, tag, t)
             oracle = expectation_series(wp, tag, t)
             worst = max(worst, float(np.max(np.abs(oracle.values - analytic.values))))
-    report(11, f"closed-form series vs eigenphase oracle, all suite packets "
+    report(11, f"closed-form series vs eigenphase oracle, all nine observables "
                f"(worst pointwise {worst:.1e})", worst <= 1e-9)
 
 

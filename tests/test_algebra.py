@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from zbsim.algebra import (
     BRANCH_SPIN_LABELS,
+    LABEL_NAMES,
     ConfigError,
     ParticleConfig,
     build_hamiltonian,
@@ -14,7 +15,6 @@ from zbsim.algebra import (
     eigensystem_analytic,
     eigensystem_numeric,
     label_index,
-    label_name,
     matrix_element,
 )
 from conftest import DELTA_GRID, P_GRID
@@ -100,10 +100,6 @@ class TestParticleConfig:
             ParticleConfig(delta=0.1, d=0.3, E_field=2.0)
         # agreeing values pass
         ParticleConfig(delta=0.6, d=0.3, E_field=2.0)
-
-    def test_unknown_unit_system(self):
-        with pytest.raises(ConfigError):
-            ParticleConfig(unit_system="cgs")
 
 
 class TestHamiltonian:
@@ -303,6 +299,6 @@ def test_energies_match_closed_form(p, delta):
 def test_label_helpers():
     assert label_index(+1, +1) == 0
     assert label_index(-1, -1) == 3
-    assert label_name(-1, +1) == "-up"
+    assert LABEL_NAMES[label_index(-1, +1)] == "-up"
     with pytest.raises(ValueError):
         label_index(0, 1)

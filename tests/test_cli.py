@@ -210,7 +210,7 @@ class TestVerify:
         entry = json.loads(out.read_text())["observables"]["S_y"]
         labels = {a["label"] for a in entry["match"]["assignments"]}
         assert labels == {"omega_L", "omega_zb2"}
-        assert entry["beat"]["label"] == "omega_ob2"
+        assert entry["beat"]["label"] == "omega_sb"
         assert entry["beat"]["residual_rel"] <= 1e-2
 
     def test_negative_splitting_passes(self, tmp_path):
@@ -232,6 +232,38 @@ class TestVerify:
         code, out = run(capsys, command, flag, value)
         assert code == EXIT_CONFIG
         assert out == ""
+
+    @pytest.mark.parametrize("command", ["verify", "evolve"])
+    @pytest.mark.parametrize("value", ["0", "1", "-3"])
+    def test_samples_below_two_rejected(self, capsys, command, value):
+        code = main([command, f"--samples={value}"])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG and captured.out == ""
+        assert "--samples" in captured.err
+
+    @pytest.mark.parametrize("command", ["verify", "evolve"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-5"])
+    def test_t_max_must_be_positive_and_finite(self, capsys, command, value):
+        code = main([command, f"--t-max={value}"])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG and captured.out == ""
+        assert "--t-max" in captured.err
+
+    @pytest.mark.parametrize("command", ["verify", "evolve"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-2"])
+    def test_periods_must_be_positive_and_finite(self, capsys, command, value):
+        code = main([command, f"--periods={value}"])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG and captured.out == ""
+        assert "--periods" in captured.err
+
+    @pytest.mark.parametrize("command", ["verify", "evolve"])
+    @pytest.mark.parametrize("value", ["nan,0,0,1", "0.5,inf,0.5,0.5", "0.5,0.5,nanj,0.5"])
+    def test_mix_must_be_finite(self, capsys, command, value):
+        code = main([command, f"--mix={value}"])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG and captured.out == ""
+        assert "--mix" in captured.err
 
     def test_insufficient_resolution_is_config_error(self, capsys):
         code, _ = run(capsys, "verify", "--samples", "256", "--periods", "2")

@@ -12,22 +12,45 @@ from zbsim.algebra import (
 from zbsim.dynamics import (
     OBSERVABLE_TAGS,
     TimeSeries,
+    analytic_series,
     default_time_grid,
-    evolve_mode,
     expectation_series,
-    initial_modes,
-    longitudinal_position_series,
-    longitudinal_velocity_series,
     spin_x_constant,
     tone_amplitudes,
-    transverse_matrix_elements,
-    transverse_position_series,
-    transverse_spin_series_analytic,
 )
-from zbsim.spectrum import frequency_set
+from zbsim.spectrum import branch_energy, frequency_set
 from zbsim.wavepacket import DEFAULT_MIX, EQUAL_MIX, gaussian_packet, single_mode
 
 RT2 = 1.0 / math.sqrt(2.0)
+
+#: Mixes that leave exactly one cross term: (+,up)/(-,up), (+,down)/(-,down),
+#: and the same-branch spin pairs of the positive and the negative branch.
+UP_PAIR = (RT2, 0, RT2, 0)
+DOWN_PAIR = (0, RT2, 0, RT2)
+POS_BRANCH = (RT2, RT2, 0, 0)
+NEG_BRANCH = (0, 0, RT2, RT2)
+
+
+def evolve(eig, c, t):
+    """psi(t) = V (e^{-i E t} * c): the eigenphase evolution of one mode (hbar = 1)."""
+    return eig.spinors @ (np.exp(-1j * eig.energies * t) * c)
+
+
+def single_tone(p, mix, tag, label, cfg):
+    """Coherent amplitude of one tone family of a single-mode packet."""
+    return tone_amplitudes(single_mode(p, mix, cfg), tag)[label][1]
+
+
+def larmor_closed_magnitudes(p, cfg):
+    """|<l,up|alpha_y,z|l,down>| in closed form: |c*p*(hbar*omega_L + l*2*delta)| / (eta, zeta)."""
+    e_up, e_down = branch_energy(p, cfg, +1), branch_energy(p, cfg, -1)
+    r_up, r_down = cfg.rest_energy_up, cfg.rest_energy_down
+    eta = 2.0 * math.sqrt(e_up * e_down * (e_up + r_up) * (e_down + r_down))
+    zeta = 2.0 * math.sqrt(e_up * e_down * (e_up - r_up) * (e_down - r_down))
+    hw = e_up - e_down
+    cp = cfg.c * p
+    return {+1: abs(cp * (hw + 2.0 * cfg.delta)) / eta,
+            -1: abs(cp * (hw - 2.0 * cfg.delta)) / zeta}
 
 
 @pytest.fixture()
@@ -46,10 +69,12 @@ def suite_packets(cfg):
         single_mode(0.5, DEFAULT_MIX, cfg),
         single_mode(0.5, EQUAL_MIX, cfg),
         single_mode(0.0, DEFAULT_MIX, cfg),
-        single_mode(0.5, (RT2, RT2, 0, 0), cfg),      # positive branch only
+        single_mode(0.5, POS_BRANCH, cfg),      # positive branch only
         single_mode(0.5, (RT2, 0, 0, RT2), cfg),      # single spin-ZB cross term
         gaussian_packet(0.5, 0.05, DEFAULT_MIX, 32, cfg),
         single_mode(0.5, DEFAULT_MIX, ParticleConfig.natural(0.0)),
+        single_mode(0.5, DEFAULT_MIX, ParticleConfig.natural(-0.4)),
+        single_mode(-0.5, DEFAULT_MIX, cfg),
     ]
 
 
@@ -95,42 +120,35 @@ class TestDefaultTimeGrid:
 class TestEvolveMode:
     def test_eigenstate_is_stationary(self, cfg, ops):
         eig = eigensystem_numeric(build_hamiltonian(0.5, cfg, ops), ops, p=0.5)
-        state = initial_modes(single_mode(0.5, (1, 0, 0, 0), cfg))[0]
-        out = evolve_mode(state, 0.37, eig)
-        overlap = abs(np.vdot(out.spinor, state.spinor))
+        c = np.array([1, 0, 0, 0], dtype=complex)
+        start, out = evolve(eig, c, 0.0), evolve(eig, c, 0.37)
+        overlap = abs(np.vdot(out, start))
         assert overlap == pytest.approx(1.0, abs=1e-12)
-        assert np.linalg.norm(out.spinor) == pytest.approx(1.0, abs=1e-12)
-        assert out.t == pytest.approx(0.37)
+        assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_step_is_identity(self, cfg, ops):
         eig = eigensystem_numeric(build_hamiltonian(0.5, cfg, ops), ops, p=0.5)
-        state = initial_modes(single_mode(0.5, DEFAULT_MIX, cfg))[0]
-        out = evolve_mode(state, 0.0, eig)
-        assert np.max(np.abs(out.spinor - state.spinor)) <= 1e-15
-
-    def test_momentum_mismatch_rejected(self, cfg, ops):
-        eig = eigensystem_numeric(build_hamiltonian(0.7, cfg, ops), ops, p=0.7)
-        state = initial_modes(single_mode(0.5, DEFAULT_MIX, cfg))[0]
-        with pytest.raises(ValueError):
-            evolve_mode(state, 0.1, eig)
+        c = single_mode(0.5, DEFAULT_MIX, cfg).coeffs[:, 0]
+        assert np.max(np.abs(evolve(eig, c, 0.0) - eig.spinors @ c)) <= 1e-15
 
     def test_step_chain_matches_series_oracle(self, cfg, ops):
-        # evolving mode-by-mode and contracting reproduces expectation_series
+        # stepping psi by projecting onto the eigenbasis each step and
+        # contracting reproduces expectation_series
         wp = single_mode(0.5, DEFAULT_MIX, cfg)
         eig = eigensystem_numeric(build_hamiltonian(0.5, cfg, ops), ops, p=0.5)
         t = np.linspace(0.0, 8.0, 33)
         series = expectation_series(wp, "alpha_x", t)
-        state = initial_modes(wp)[0]
+        psi = evolve(eig, wp.coeffs[:, 0], 0.0)
         dt = t[1] - t[0]
         vals = []
         for _ in t:
-            vals.append(float(np.real(state.spinor.conj() @ ops.alpha_x @ state.spinor)))
-            state = evolve_mode(state, dt, eig)
+            vals.append(float(np.real(psi.conj() @ ops.alpha_x @ psi)))
+            psi = evolve(eig, eig.spinors.conj().T @ psi, dt)
         assert np.max(np.abs(np.array(vals) - series.values)) <= 1e-12
 
     def test_branch_interference_oscillates_at_zb1(self, cfg):
         # equal (+,up)/(-,up) superposition: <alpha_x>(t) is a pure omega_zb1 tone
-        wp = single_mode(0.5, (RT2, 0, RT2, 0), cfg)
+        wp = single_mode(0.5, UP_PAIR, cfg)
         fs = frequency_set(0.5, cfg)
         t = np.linspace(0.0, 40.0 * np.pi / fs.omega_zb1, 2048, endpoint=False)
         series = expectation_series(wp, "alpha_x", t)
@@ -144,7 +162,7 @@ class TestEvolveMode:
 
 class TestHelicityConstant:
     def test_pure_up_packet(self, cfg):
-        assert spin_x_constant(single_mode(0.5, (RT2, 0, RT2, 0), cfg)) == pytest.approx(0.5, abs=1e-12)
+        assert spin_x_constant(single_mode(0.5, UP_PAIR, cfg)) == pytest.approx(0.5, abs=1e-12)
 
     def test_balanced_populations(self, cfg):
         assert spin_x_constant(single_mode(0.5, EQUAL_MIX, cfg)) == pytest.approx(0.0, abs=1e-12)
@@ -164,16 +182,14 @@ class TestConservation:
                 eigensystem_numeric(build_hamiltonian(p, wp.cfg, ops), ops, p=p)
                 for p in wp.grid
             ]
-            states = initial_modes(wp)
             norms, energies, sx = [], [], []
             pops = []
             for frac in np.linspace(0.0, 1.0, 9):
                 norm = energy = helic = 0.0
                 pop = np.zeros(4)
-                for k, (state, eig) in enumerate(zip(states, eigs)):
-                    evolved = evolve_mode(state, frac * t_final, eig)
+                for k, eig in enumerate(eigs):
+                    psi = evolve(eig, wp.coeffs[:, k], frac * t_final)
                     w = wp.weights[k]
-                    psi = evolved.spinor
                     norm += w * float(np.real(psi.conj() @ psi))
                     H = build_hamiltonian(wp.grid[k], wp.cfg, ops)
                     energy += w * float(np.real(psi.conj() @ H @ psi))
@@ -194,15 +210,8 @@ class TestOracleEquivalence:
         for wp in suite_packets(cfg):
             fs = frequency_set(max(wp.mean_momentum(), 0.0), wp.cfg)
             t = default_time_grid(fs, periods=20.0, samples=1024)
-            closed = {
-                "S_y": transverse_spin_series_analytic(wp, "y", t),
-                "S_z": transverse_spin_series_analytic(wp, "z", t),
-                "alpha_x": longitudinal_velocity_series(wp, t),
-                "r_x": longitudinal_position_series(wp, t),
-                "r_y": transverse_position_series(wp, "y", t),
-                "r_z": transverse_position_series(wp, "z", t),
-            }
-            for tag, analytic in closed.items():
+            for tag in OBSERVABLE_TAGS:
+                analytic = analytic_series(wp, tag, t)
                 oracle = expectation_series(wp, tag, t)
                 assert np.max(np.abs(oracle.values - analytic.values)) <= 1e-9, tag
 
@@ -212,17 +221,12 @@ class TestOracleEquivalence:
         fs = frequency_set(-0.5, cfg)
         assert fs.omega_zb1 == pytest.approx(2.0 * math.sqrt(2.21), rel=1e-12)
         t = default_time_grid(fs, samples=512)
-        for tag, analytic in [
-            ("S_y", transverse_spin_series_analytic(wp, "y", t)),
-            ("alpha_x", longitudinal_velocity_series(wp, t)),
-            ("r_y", transverse_position_series(wp, "y", t)),
-        ]:
+        for tag in ("S_y", "alpha_x", "r_y"):
+            analytic = analytic_series(wp, tag, t)
             oracle = expectation_series(wp, tag, t)
             assert np.max(np.abs(oracle.values - analytic.values)) <= 1e-9
         # a purely positive-branch packet drifts backward
-        drift = longitudinal_velocity_series(
-            single_mode(-0.5, (RT2, RT2, 0, 0), cfg), t
-        ).values[0]
+        drift = analytic_series(single_mode(-0.5, POS_BRANCH, cfg), "alpha_x", t).values[0]
         assert drift < 0
 
     def test_global_phase_invariance(self, cfg, t_grid):
@@ -240,31 +244,33 @@ class TestOracleEquivalence:
 
 class TestSpinSeries:
     def test_same_branch_pair_is_single_larmor_tone(self, cfg, t_grid):
-        wp = single_mode(0.5, (RT2, RT2, 0, 0), cfg)
-        full = transverse_spin_series_analytic(wp, "y", t_grid)
-        larmor = transverse_spin_series_analytic(wp, "y", t_grid, parts="larmor")
-        zb = transverse_spin_series_analytic(wp, "y", t_grid, parts="zb")
-        assert np.max(np.abs(zb.values)) <= 1e-15
-        assert np.max(np.abs(full.values - larmor.values)) <= 1e-15
+        wp = single_mode(0.5, POS_BRANCH, cfg)
+        tones = tone_amplitudes(wp, "S_y")
+        larmor = tones["omega_L"][1]
+        assert abs(tones["omega_zb2"][1]) <= 1e-15
+        tone = 2.0 * np.real(larmor * np.exp(1j * frequency_set(0.5, cfg).omega_L * t_grid))
+        assert np.max(np.abs(analytic_series(wp, "S_y", t_grid).values - tone)) <= 1e-15
 
     def test_cross_branch_pair_is_single_zb_tone(self, cfg, t_grid):
         wp = single_mode(0.5, (RT2, 0, 0, RT2), cfg)
-        larmor = transverse_spin_series_analytic(wp, "y", t_grid, parts="larmor")
-        zb = transverse_spin_series_analytic(wp, "y", t_grid, parts="zb")
-        assert np.max(np.abs(larmor.values)) <= 1e-15
-        assert np.max(np.abs(zb.values)) > 1e-3
+        tones = tone_amplitudes(wp, "S_y")
+        zb = tones["omega_zb2"][1]
+        assert abs(tones["omega_L"][1]) <= 1e-15
+        assert abs(zb) > 1e-3
+        tone = 2.0 * np.real(zb * np.exp(1j * frequency_set(0.5, cfg).omega_zb2 * t_grid))
+        assert np.max(np.abs(analytic_series(wp, "S_y", t_grid).values - tone)) <= 1e-15
 
     def test_invalid_axis(self, wp, t_grid):
         with pytest.raises(ValueError):
-            transverse_spin_series_analytic(wp, "x", t_grid)
+            analytic_series(wp, "S_w", t_grid)
         with pytest.raises(ValueError):
-            transverse_spin_series_analytic(wp, "y", t_grid, parts="all")
+            tone_amplitudes(wp, "r_w")
 
 
 class TestLongitudinalSeries:
     def test_positive_branch_packet_is_constant(self, cfg, t_grid):
-        wp = single_mode(0.5, (RT2, RT2, 0, 0), cfg)
-        series = longitudinal_velocity_series(wp, t_grid)
+        wp = single_mode(0.5, POS_BRANCH, cfg)
+        series = analytic_series(wp, "alpha_x", t_grid)
         drift = 0.5 * 0.5 / math.sqrt(2.21) + 0.5 * 0.5 / math.sqrt(0.61)
         assert np.ptp(series.values) <= 1e-14
         assert series.values[0] == pytest.approx(drift, rel=1e-12)
@@ -272,14 +278,14 @@ class TestLongitudinalSeries:
     def test_rest_frame_zb_survives(self, cfg):
         # the branch-interference amplitude has magnitude 1 at p = 0, so an
         # equal-weight (+,up)/(-,up) packet oscillates with unit amplitude
-        wp = single_mode(0.0, (RT2, 0, RT2, 0), cfg)
+        wp = single_mode(0.0, UP_PAIR, cfg)
         fs = frequency_set(0.0, cfg)
         t = np.linspace(0.0, 3.0 * 2.0 * np.pi / fs.omega_zb1, 512, endpoint=False)
         series = expectation_series(wp, "alpha_x", t)
         # Fourier projection over the integer number of periods is exact for a pure tone
         amp = 2.0 * abs(np.mean(series.values * np.exp(-1j * fs.omega_zb1 * t)))
         assert amp == pytest.approx(1.0, abs=1e-12)
-        analytic = longitudinal_velocity_series(wp, t)
+        analytic = analytic_series(wp, "alpha_x", t)
         assert np.max(np.abs(series.values - analytic.values)) <= 1e-12
 
     def test_position_derivative_matches_velocity(self, cfg):
@@ -288,24 +294,24 @@ class TestLongitudinalSeries:
         fs = frequency_set(0.5, cfg)
         dt = (2.0 * np.pi / fs.omega_zb1) / 200.0
         t = np.arange(0.0, 4000.0 * dt, dt)
-        r = longitudinal_position_series(wp, t).values
-        v = longitudinal_velocity_series(wp, t).values
+        r = analytic_series(wp, "r_x", t).values
+        v = analytic_series(wp, "alpha_x", t).values
         deriv = (r[:-4] - 8.0 * r[1:-3] + 8.0 * r[3:-1] - r[4:]) / (12.0 * dt)
         assert np.max(np.abs(deriv - wp.cfg.c * v[2:-2])) <= 1e-6
 
     def test_position_equals_trapezoid_integral_of_velocity(self, cfg, t_grid):
         # trapezoid error at the default sampling is O(dt^2) ~ 4e-4
         wp = single_mode(0.5, DEFAULT_MIX, cfg)
-        r = longitudinal_position_series(wp, t_grid).values
-        v = longitudinal_velocity_series(wp, t_grid).values
+        r = analytic_series(wp, "r_x", t_grid).values
+        v = analytic_series(wp, "alpha_x", t_grid).values
         steps = np.diff(t_grid)
         integral = np.concatenate(
             [[0.0], np.cumsum(0.5 * (v[1:] + v[:-1]) * steps)]
         ) * wp.cfg.c
         assert np.max(np.abs(integral - r)) <= 1e-3
         fine = np.linspace(t_grid[0], t_grid[-1] / 4.0, t_grid.size, endpoint=False)
-        r2 = longitudinal_position_series(wp, fine).values
-        v2 = longitudinal_velocity_series(wp, fine).values
+        r2 = analytic_series(wp, "r_x", fine).values
+        v2 = analytic_series(wp, "alpha_x", fine).values
         integral2 = np.concatenate(
             [[0.0], np.cumsum(0.5 * (v2[1:] + v2[:-1]) * np.diff(fine))]
         ) * wp.cfg.c
@@ -313,99 +319,108 @@ class TestLongitudinalSeries:
 
     def test_position_starts_at_r0(self, cfg, t_grid):
         wp = single_mode(0.5, DEFAULT_MIX, cfg)
-        assert longitudinal_position_series(wp, t_grid).values[0] == 0.0
-        assert longitudinal_position_series(wp, t_grid, r0=2.5).values[0] == 2.5
+        for tag in ("r_x", "r_y", "r_z"):
+            assert analytic_series(wp, tag, t_grid).values[0] == 0.0
 
     def test_positive_branch_position_is_straight_line(self, cfg, t_grid):
-        wp = single_mode(0.5, (RT2, RT2, 0, 0), cfg)
-        r = longitudinal_position_series(wp, t_grid)
-        v = longitudinal_velocity_series(wp, t_grid).values[0]
+        wp = single_mode(0.5, POS_BRANCH, cfg)
+        r = analytic_series(wp, "r_x", t_grid)
+        v = analytic_series(wp, "alpha_x", t_grid).values[0]
         assert np.max(np.abs(r.values - wp.cfg.c * v * t_grid)) <= 1e-12
 
     def test_tone_amplitude_ratio_follows_inverse_frequency(self, cfg):
         # single-tone packets isolate each line; amplitudes via Fourier projection
         fs = frequency_set(0.5, cfg)
-        ams = transverse_matrix_elements(0.5, cfg)
+        # |<+,s|alpha_x|-,s>| = (m*c^2 + s*delta) / E_s
+        n1, n2 = 1.4 / math.sqrt(2.21), 0.6 / math.sqrt(0.61)
 
         def tone_amplitude(mix, omega):
             wp = single_mode(0.5, mix, cfg)
             t = np.linspace(0.0, 100.0 * 2.0 * np.pi / omega, 8192, endpoint=False)
-            series = longitudinal_position_series(wp, t)
+            series = analytic_series(wp, "r_x", t)
             proj = 2.0 * np.mean(series.values * np.exp(-1j * omega * t))
             return abs(proj)
 
-        a1 = tone_amplitude((RT2, 0, RT2, 0), fs.omega_zb1)
-        a3 = tone_amplitude((0, RT2, 0, RT2), fs.omega_zb3)
-        predicted = abs(ams.N2 / ams.N1) * (fs.omega_zb1 / fs.omega_zb3)
+        a1 = tone_amplitude(UP_PAIR, fs.omega_zb1)
+        a3 = tone_amplitude(DOWN_PAIR, fs.omega_zb3)
+        predicted = (n2 / n1) * (fs.omega_zb1 / fs.omega_zb3)
         assert a3 / a1 == pytest.approx(predicted, rel=1e-9)
 
 
 class TestTransversePosition:
-    def test_larmor_tone_null_at_rest(self, cfg, t_grid):
+    def test_larmor_tone_null_at_rest(self, cfg):
         wp = single_mode(0.0, DEFAULT_MIX, cfg)
-        for axis in ("y", "z"):
-            larmor = transverse_position_series(wp, axis, t_grid, parts="larmor")
-            assert np.max(np.abs(larmor.values)) <= 1e-12
+        for tag in ("r_y", "r_z"):
+            assert abs(tone_amplitudes(wp, tag)["omega_L"][1]) <= 1e-12
 
-    def test_larmor_tone_null_without_splitting(self, t_grid):
+    def test_larmor_tone_null_without_splitting(self):
         wp = single_mode(0.5, DEFAULT_MIX, ParticleConfig.natural(0.0))
-        for axis in ("y", "z"):
-            larmor = transverse_position_series(wp, axis, t_grid, parts="larmor")
-            assert np.max(np.abs(larmor.values)) <= 1e-12
+        for tag in ("r_y", "r_z"):
+            assert abs(tone_amplitudes(wp, tag)["omega_L"][1]) <= 1e-12
 
     def test_parts_sum_to_full(self, cfg, wp, t_grid):
-        full = transverse_position_series(wp, "y", t_grid)
-        larmor = transverse_position_series(wp, "y", t_grid, parts="larmor")
-        zb = transverse_position_series(wp, "y", t_grid, parts="zb")
-        assert np.max(np.abs(full.values - larmor.values - zb.values)) <= 1e-14
+        # each tone family contributes 2*Re[A*(e^{i w t} - 1)] to a position series
+        full = analytic_series(wp, "r_y", t_grid)
+        parts = sum(2.0 * np.real(amp * (np.exp(1j * omega * t_grid) - 1.0))
+                    for omega, amp in tone_amplitudes(wp, "r_y").values())
+        assert np.max(np.abs(full.values - parts)) <= 1e-14
 
 
 class TestAmplitudeSet:
+    """Velocity amplitudes of single-tone packets against their closed forms.
+
+    Each mix leaves one cross term with |c_bra*c_ket| = 1/2, so a tone's
+    amplitude is half its matrix element.
+    """
+
     def test_longitudinal_amplitudes_match_rest_energy_ratio(self, cfg):
-        ams = transverse_matrix_elements(0.5, cfg)
-        assert abs(ams.N1) == pytest.approx(1.4 / math.sqrt(2.21), rel=1e-12)
-        assert abs(ams.N2) == pytest.approx(0.6 / math.sqrt(0.61), rel=1e-12)
+        n1 = single_tone(0.5, UP_PAIR, "alpha_x", "omega_zb1", cfg)
+        n2 = single_tone(0.5, DOWN_PAIR, "alpha_x", "omega_zb3", cfg)
+        assert abs(n1) == pytest.approx(0.5 * 1.4 / math.sqrt(2.21), rel=1e-12)
+        assert abs(n2) == pytest.approx(0.5 * 0.6 / math.sqrt(0.61), rel=1e-12)
 
     def test_longitudinal_amplitudes_survive_at_rest(self, cfg):
-        ams = transverse_matrix_elements(0.0, cfg)
-        assert abs(ams.N1) == pytest.approx(1.0, rel=1e-12)
-        assert abs(ams.N2) == pytest.approx(1.0, rel=1e-12)
+        assert abs(single_tone(0.0, UP_PAIR, "alpha_x", "omega_zb1", cfg)) == pytest.approx(0.5, rel=1e-12)
+        assert abs(single_tone(0.0, DOWN_PAIR, "alpha_x", "omega_zb3", cfg)) == pytest.approx(0.5, rel=1e-12)
 
-    def test_closed_form_cross_check(self, cfg):
-        ams = transverse_matrix_elements(0.5, cfg)
-        for axis in ("y", "z"):
-            for l in (+1, -1):
-                closed = ams.larmor_closed_magnitude[l]
-                assert abs(ams.larmor[(axis, l)]) == pytest.approx(closed, rel=1e-10)
+    def test_closed_form_cross_check(self):
+        for p, delta in ((0.5, 0.4), (1.3, 0.7), (3.0, -0.25)):
+            cfg = ParticleConfig.natural(delta)
+            closed = larmor_closed_magnitudes(p, cfg)
+            for tag in ("alpha_y", "alpha_z"):
+                for l, mix in ((+1, POS_BRANCH), (-1, NEG_BRANCH)):
+                    amp = single_tone(p, mix, tag, "omega_L", cfg)
+                    assert 2.0 * abs(amp) == pytest.approx(closed[l], rel=1e-10)
 
     def test_normalizer_values(self, cfg):
-        ams = transverse_matrix_elements(0.5, cfg)
+        # eta and zeta at p = 0.5, delta = 0.4, from E+^up = sqrt(2.21), E+^down = sqrt(0.61)
         e_pu, e_pd = math.sqrt(2.21), math.sqrt(0.61)
         eta = 2.0 * math.sqrt(e_pu * e_pd * (e_pu + 1.4) * (e_pd + 0.6))
         zeta = 2.0 * math.sqrt(e_pu * e_pd * (e_pu - 1.4) * (e_pd - 0.6))
-        assert ams.eta == pytest.approx(eta, rel=1e-12)
-        assert ams.zeta == pytest.approx(zeta, rel=1e-12)
+        hw = e_pu - e_pd
+        for tag in ("alpha_y", "alpha_z"):
+            pos = single_tone(0.5, POS_BRANCH, tag, "omega_L", cfg)
+            neg = single_tone(0.5, NEG_BRANCH, tag, "omega_L", cfg)
+            assert 2.0 * abs(pos) * eta == pytest.approx(0.5 * (hw + 0.8), rel=1e-12)
+            assert 2.0 * abs(neg) * zeta == pytest.approx(0.5 * abs(hw - 0.8), rel=1e-12)
 
     def test_larmor_elements_vanish_at_rest(self, cfg):
-        ams = transverse_matrix_elements(0.0, cfg)
-        for value in ams.larmor.values():
-            assert abs(value) <= 1e-14
-        # the 0/0 closed form is reported as undefined, not zero
-        assert ams.larmor_closed_magnitude[-1] is None
-        assert ams.larmor_closed_magnitude[+1] == pytest.approx(0.0, abs=1e-14)
+        for tag in ("alpha_y", "alpha_z"):
+            for mix in (POS_BRANCH, NEG_BRANCH):
+                assert abs(single_tone(0.0, mix, tag, "omega_L", cfg)) <= 1e-14
 
     def test_larmor_elements_vanish_without_splitting(self):
-        ams = transverse_matrix_elements(0.5, ParticleConfig.natural(0.0))
-        for value in ams.larmor.values():
-            assert abs(value) <= 1e-14
+        cfg = ParticleConfig.natural(0.0)
+        for tag in ("alpha_y", "alpha_z"):
+            for mix in (POS_BRANCH, NEG_BRANCH):
+                assert abs(single_tone(0.5, mix, tag, "omega_L", cfg)) <= 1e-14
 
     def test_dominance_report_is_comparable(self, cfg):
-        report = transverse_matrix_elements(0.5, cfg).dominance_report()
-        for axis in ("y", "z"):
-            assert report[axis]["dominant"] == "comparable"
-            assert report[axis]["negative_branch"] == pytest.approx(
-                report[axis]["positive_branch"], rel=1e-10
-            )
+        # neither branch dominates the Larmor tone: the two magnitudes are equal
+        for tag in ("alpha_y", "alpha_z"):
+            pos = single_tone(0.5, POS_BRANCH, tag, "omega_L", cfg)
+            neg = single_tone(0.5, NEG_BRANCH, tag, "omega_L", cfg)
+            assert abs(neg) == pytest.approx(abs(pos), rel=1e-10)
 
 
 class TestToneAmplitudes:
@@ -436,7 +451,7 @@ class TestToneAmplitudes:
         assert abs(amp) > 1e-3
         t = default_time_grid(fs, samples=512)
         oracle = expectation_series(wp, "S_y", t)
-        analytic = transverse_spin_series_analytic(wp, "y", t)
+        analytic = analytic_series(wp, "S_y", t)
         assert np.max(np.abs(oracle.values - analytic.values)) <= 1e-9
 
     def test_real_equal_mix_cancellations(self, cfg):

@@ -58,7 +58,6 @@ class TestFrequencySet:
         assert fs.omega_zb3 == pytest.approx(1.2, abs=1e-12)
         assert fs.omega_sb == pytest.approx(1.2, abs=1e-12)
         assert fs.omega_ob1 == pytest.approx(1.6, abs=1e-12)
-        assert fs.omega_ob2 == pytest.approx(1.2, abs=1e-12)
         assert fs.omega_forbidden == pytest.approx(2.0, abs=1e-15)
 
     def test_degenerate_limit(self):
@@ -85,7 +84,6 @@ class TestFrequencySet:
             cfg = ParticleConfig.natural(float(delta))
             for p in P_GRID[::5]:
                 fs = frequency_set(float(p), cfg)
-                assert fs.omega_ob2 == fs.omega_sb
                 assert abs(fs.omega_ob1 - 2.0 * fs.omega_L) <= 1e-12 * max(fs.omega_ob1, 1e-300)
                 # spin beat equals the down-sector ZB tone identically
                 closed = 2.0 * math.hypot(float(p), 1.0 - float(delta))

@@ -15,7 +15,6 @@ from zbsim.wavepacket import (
     packet_from_dict,
     packet_to_dict,
     single_mode,
-    validate,
 )
 
 
@@ -118,12 +117,12 @@ class TestWavepacketValidation:
 
     def test_validate_diagnostics(self):
         wp = gaussian_packet(0.5, 0.05, DEFAULT_MIX, 16)
-        diag = validate(wp)
-        assert diag["norm_residual"] <= 1e-10
-        assert diag["grid_strictly_increasing"] is True
-        assert diag["weights_positive"] is True
-        assert diag["n_modes"] == 16
-        assert set(diag["occupancy"]) == {"+up", "+down", "-up", "-down"}
+        assert abs(wp.norm() - 1.0) <= 1e-10
+        assert wp.n_modes == 16
+        occupancy = wp.occupancy()
+        assert set(occupancy) == {"+up", "+down", "-up", "-down"}
+        assert sum(occupancy.values()) == pytest.approx(1.0, abs=1e-10)
+        assert wp.mean_momentum() == pytest.approx(0.5, abs=1e-6)
 
 
 class TestSerialization:
@@ -141,6 +140,16 @@ class TestSerialization:
         wp = single_mode(0.5, DEFAULT_MIX)
         doc = packet_to_dict(wp)
         assert doc["coeffs"]["+down"][0] == [0.0, 0.5]
+
+    def test_unit_system_key_ignored(self):
+        # documents written with a "unit_system" config key still load
+        wp = single_mode(0.5, DEFAULT_MIX, ParticleConfig.natural(0.4))
+        doc = packet_to_dict(wp)
+        assert "unit_system" not in doc["config"]
+        doc["config"]["unit_system"] = "natural"
+        back = packet_from_dict(doc)
+        assert back.cfg == wp.cfg
+        assert np.array_equal(back.coeffs, wp.coeffs)
 
     def test_tampered_document_rejected(self):
         doc = packet_to_dict(single_mode(0.5, DEFAULT_MIX))
