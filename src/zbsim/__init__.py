@@ -24,7 +24,7 @@ from .dynamics import (
     TimeSeries,
     analytic_series,
     default_time_grid,
-    expectation_series,
+    expectation_table,
     spin_x_constant,
     tone_amplitudes,
 )

@@ -21,7 +21,7 @@ from .dynamics import (
     OBSERVABLE_TAGS,
     TimeSeries,
     default_time_grid,
-    expectation_series,
+    expectation_table,
     tone_amplitudes,
 )
 from .spectral import ResolutionError, beat_envelope, extract_peaks, match_frequencies, periodogram
@@ -69,6 +69,7 @@ class UnitScales:
     momentum: float = 1.0
     frequency: float = 1.0
     time: float = 1.0
+    energy: float = 1.0
 
 
 def _fmt(x) -> str:
@@ -117,8 +118,8 @@ def build_particle_config(args: argparse.Namespace) -> tuple[ParticleConfig, Uni
 
     Exactly one of --delta or the dipole/field group may be given; with
     neither, the stock splitting 0.4 m*c^2 is used. SI inputs are converted at
-    this boundary and outputs rescaled by m*c^2/hbar (frequencies) and m*c
-    (momenta).
+    this boundary and outputs rescaled by m*c^2/hbar (frequencies), m*c
+    (momenta), hbar/(m*c^2) (times) and m*c^2 (energies, such as delta).
     """
     field_group = [args.mu, args.dmom, args.bfield, args.efield]
     has_fields = any(x is not None for x in field_group)
@@ -143,7 +144,7 @@ def build_particle_config(args: argparse.Namespace) -> tuple[ParticleConfig, Uni
         # internal math runs in natural units; the scales carry the SI boundary
         cfg = ParticleConfig(delta=delta_j / mc2)
         scales = UnitScales(momentum=mass * SI_C, frequency=mc2 / SI_HBAR,
-                            time=SI_HBAR / mc2)
+                            time=SI_HBAR / mc2, energy=mc2)
         return cfg, scales
 
     if args.mass not in (None, 1.0):
@@ -189,7 +190,7 @@ def cmd_frequencies(args: argparse.Namespace) -> int:
     cfg, scales = build_particle_config(args)
     p, v = _resolve_momentum(args, cfg)
     fs = frequency_set(p, cfg)
-    row = {"p": p * scales.momentum, "delta": cfg.delta, "v": v}
+    row = {"p": p * scales.momentum, "delta": cfg.delta * scales.energy, "v": v}
     for name in FrequencySet.FIELDS:
         row[name] = getattr(fs, name) * scales.frequency
     row["omega_zb"] = free_zb_frequency(p, cfg) * scales.frequency
@@ -204,6 +205,8 @@ def cmd_frequencies(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg, scales = build_particle_config(args)
+    if args.steps < 1:
+        raise ConfigError(f"--steps must be at least 1, got {args.steps}")
     grid = np.linspace(0.0, args.v_max, args.steps)
     rows = sweep(grid, delta=cfg.delta, cfg=cfg)
     records = []
@@ -224,6 +227,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def _build_packet(args: argparse.Namespace, cfg: ParticleConfig):
     _require_finite(p0=args.p0, sigma_p=args.sigma_p)
+    if args.modes < 1:
+        raise ConfigError(f"--modes must be at least 1, got {args.modes}")
     mix = _parse_mix(args.mix) if args.mix else DEFAULT_MIX
     if args.modes == 1:
         return single_mode(args.p0, mix, cfg)
@@ -249,22 +254,20 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     for tag in tags:
         if tag not in OBSERVABLE_TAGS:
             raise ConfigError(f"unknown observable {tag!r}; expected one of {OBSERVABLE_TAGS}")
+    table = expectation_table(wp, t_grid)
+    times = (t_grid * scales.time).tolist()
+    p0, delta = args.p0 * scales.momentum, cfg.delta * scales.energy
     if args.format == "json":
-        doc = {}
-        for tag in tags:
-            series = expectation_series(wp, tag, t_grid)
-            doc[tag] = {"times": [float(t) for t in series.times * scales.time],
-                        "values": [float(x) for x in series.values]}
-        text = _json_text({"p0": args.p0 * scales.momentum, "delta": cfg.delta, "series": doc})
+        doc = {tag: {"times": times, "values": table[tag].values.tolist()} for tag in tags}
+        text = _json_text({"p0": p0, "delta": delta, "series": doc})
     else:
-        rows = []
+        # every tag shares the t cells, and each row of a tag the same tail
+        t_cells = [f"{t:.12g}" for t in times]
+        lines = ["t,value,observable,p0,delta"]
         for tag in tags:
-            series = expectation_series(wp, tag, t_grid)
-            rows.extend(
-                (t * scales.time, x, tag, args.p0 * scales.momentum, cfg.delta)
-                for t, x in zip(series.times, series.values)
-            )
-        text = _csv_text(("t", "value", "observable", "p0", "delta"), rows)
+            tail = f",{tag},{p0:.12g},{delta:.12g}"
+            lines.extend(f"{t},{x:.12g}{tail}" for t, x in zip(t_cells, table[tag].values.tolist()))
+        text = "\n".join(lines) + "\n"
     _write_text(text, args.out)
     return EXIT_OK
 
@@ -333,9 +336,10 @@ def run_verification(args: argparse.Namespace) -> dict:
         },
         "observables": {},
     }
+    table = expectation_table(wp, t_grid)
     overall = True
     for tag, want in plan.items():
-        series = expectation_series(wp, tag, t_grid)
+        series = table[tag]
         entry: dict = {"kind": want["kind"]}
         if want["kind"] == "constant":
             if want.get("detrend"):

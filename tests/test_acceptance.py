@@ -20,7 +20,7 @@ from zbsim.dynamics import (
     OBSERVABLE_TAGS,
     analytic_series,
     default_time_grid,
-    expectation_series,
+    expectation_table,
     spin_x_constant,
     tone_amplitudes,
 )
@@ -131,8 +131,9 @@ def test_criterion_06_spin_channel_pipeline(suite_packet, suite_freqs, suite_gri
     expected = {"omega_L": suite_freqs.omega_L, "omega_zb2": suite_freqs.omega_zb2}
     ok = True
     detail = []
+    table = expectation_table(suite_packet, suite_grid)
     for tag in ("S_y", "S_z"):
-        series = expectation_series(suite_packet, tag, suite_grid)
+        series = table[tag]
         peaks = extract_peaks(periodogram(series), rel_threshold=0.01)
         match = match_frequencies(peaks, expected, tol_rel=1e-3)
         _, envelope = beat_envelope(series)
@@ -148,7 +149,7 @@ def test_criterion_06_spin_channel_pipeline(suite_packet, suite_freqs, suite_gri
 
 def test_criterion_07_longitudinal_channel_pipeline(suite_packet, suite_freqs, suite_grid):
     expected = {"omega_zb1": suite_freqs.omega_zb1, "omega_zb3": suite_freqs.omega_zb3}
-    series = expectation_series(suite_packet, "alpha_x", suite_grid)
+    series = expectation_table(suite_packet, suite_grid)["alpha_x"]
     peaks = extract_peaks(periodogram(series), rel_threshold=0.01)
     match = match_frequencies(peaks, expected, tol_rel=1e-3)
     _, envelope = beat_envelope(series)
@@ -161,8 +162,9 @@ def test_criterion_07_longitudinal_channel_pipeline(suite_packet, suite_freqs, s
 def test_criterion_08_transverse_channel_pipeline(suite_packet, suite_freqs, suite_grid):
     expected = {"omega_L": suite_freqs.omega_L, "omega_zb2": suite_freqs.omega_zb2}
     ok = True
+    table = expectation_table(suite_packet, suite_grid)
     for tag in ("r_y", "r_z"):
-        series = expectation_series(suite_packet, tag, suite_grid)
+        series = table[tag]
         peaks = extract_peaks(periodogram(series), rel_threshold=0.01)
         match = match_frequencies(peaks, expected, tol_rel=1e-3)
         ok = ok and match.clean and match.complete
@@ -214,7 +216,7 @@ def test_criterion_09_conservation_suite(ops, suite_grid):
             float(np.ptp(traces["spin_x"])),
             float(np.max(np.ptp(np.array(traces["pops"]), axis=0))),
         )
-        sx_series = expectation_series(wp, "S_x", suite_grid)
+        sx_series = expectation_table(wp, suite_grid)["S_x"]
         worst = max(worst, float(np.max(np.abs(sx_series.values - spin_x_constant(wp)))))
     report(9, f"norm, <H>, <S_x>, populations constant (worst drift {worst:.1e})",
            worst <= 1e-10)
@@ -244,9 +246,10 @@ def test_criterion_11_analytic_vs_oracle_series():
     for wp in packets:
         fs = frequency_set(wp.mean_momentum(), wp.cfg)
         t = default_time_grid(fs, periods=20.0, samples=1024)
+        table = expectation_table(wp, t)
         for tag in OBSERVABLE_TAGS:
             analytic = analytic_series(wp, tag, t)
-            oracle = expectation_series(wp, tag, t)
+            oracle = table[tag]
             worst = max(worst, float(np.max(np.abs(oracle.values - analytic.values))))
     report(11, f"closed-form series vs eigenphase oracle, all nine observables "
                f"(worst pointwise {worst:.1e})", worst <= 1e-9)

@@ -1,8 +1,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+from zbsim import DEFAULT_MIX, ParticleConfig, expectation_table, single_mode
 from zbsim.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -82,6 +84,17 @@ class TestFrequencies:
         _, rows = parse_csv(out)
         assert float(rows[0]["omega_forbidden"]) == pytest.approx(2.0 * mc2 / SI_HBAR, rel=1e-10)
         assert float(rows[0]["omega_L"]) == pytest.approx(0.8 * mc2 / SI_HBAR, rel=1e-10)
+        assert float(rows[0]["delta"]) == pytest.approx(0.4 * mc2, rel=1e-10)  # joules
+        si = ("--units", "si", "--mass", str(mass), "--delta", str(0.4 * mc2),
+              "--observable", "S_y", "--samples", "4", "--t-max", "2")
+        code, out = run(capsys, "evolve", *si)
+        assert code == EXIT_OK
+        _, rows = parse_csv(out)
+        assert float(rows[1]["t"]) == pytest.approx(0.5 * SI_HBAR / mc2, rel=1e-10)
+        assert float(rows[0]["p0"]) == pytest.approx(0.5 * mass * SI_C, rel=1e-10)
+        assert float(rows[0]["delta"]) == pytest.approx(0.4 * mc2, rel=1e-10)
+        code, out = run(capsys, "evolve", *si, "--format", "json")
+        assert json.loads(out)["delta"] == pytest.approx(0.4 * mc2, rel=1e-10)
 
     def test_si_requires_mass(self, capsys):
         code, _ = run(capsys, "frequencies", "--p", "0", "--units", "si")
@@ -142,6 +155,13 @@ class TestSweep:
         _, second = run(capsys, "sweep", "--figure", "fig2", "--steps", "7")
         assert first == second
 
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_steps_must_be_positive(self, capsys, value):
+        code = main(["sweep", f"--steps={value}"])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG and captured.out == ""
+        assert "--steps" in captured.err
+
     def test_json_rows(self, capsys):
         code, out = run(capsys, "sweep", "--figure", "fig1", "--steps", "3",
                         "--format", "json")
@@ -161,6 +181,22 @@ class TestEvolve:
         assert rows[0]["observable"] == "S_y"
         assert float(rows[0]["p0"]) == 0.5
         assert float(rows[0]["delta"]) == 0.4
+
+    def test_csv_rows_contract(self, capsys):
+        # 12 significant digits per cell; observable, p0 and delta repeat on each row of a tag
+        p0 = "0.1234567890123456"
+        code, out = run(capsys, "evolve", "--observable", "S_y,r_x", "--samples", "4",
+                        "--t-max", "2", "--p0", p0, "--delta", "0.4")
+        assert code == EXIT_OK
+        lines = out.split("\n")
+        assert lines[0] == "t,value,observable,p0,delta" and lines[-1] == ""
+        assert [line.split(",")[0] for line in lines[1:5]] == ["0", "0.5", "1", "1.5"]
+        wp = single_mode(float(p0), DEFAULT_MIX, ParticleConfig.natural(0.4))
+        table = expectation_table(wp, np.linspace(0.0, 2.0, 4, endpoint=False))
+        assert lines[1:-1] == [
+            f"{t:.12g},{x:.12g},{tag},0.123456789012,0.4"
+            for tag in ("S_y", "r_x") for t, x in zip(table[tag].times, table[tag].values)
+        ]
 
     def test_multiple_observables_concatenated(self, capsys):
         code, out = run(capsys, "evolve", "--observable", "S_y,alpha_x",
@@ -264,6 +300,14 @@ class TestVerify:
         captured = capsys.readouterr()
         assert code == EXIT_CONFIG and captured.out == ""
         assert "--mix" in captured.err
+
+    @pytest.mark.parametrize("command", ["verify", "evolve"])
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_modes_must_be_positive(self, capsys, command, value):
+        code = main([command, f"--modes={value}"])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG and captured.out == ""
+        assert "--modes" in captured.err
 
     def test_insufficient_resolution_is_config_error(self, capsys):
         code, _ = run(capsys, "verify", "--samples", "256", "--periods", "2")

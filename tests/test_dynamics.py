@@ -1,9 +1,9 @@
-import io
 import math
 
 import numpy as np
 import pytest
 
+from zbsim import dynamics
 from zbsim.algebra import (
     ParticleConfig,
     build_hamiltonian,
@@ -14,7 +14,7 @@ from zbsim.dynamics import (
     TimeSeries,
     analytic_series,
     default_time_grid,
-    expectation_series,
+    expectation_table,
     spin_x_constant,
     tone_amplitudes,
 )
@@ -91,16 +91,6 @@ class TestTimeSeries:
         with pytest.raises(ValueError):
             TimeSeries(np.array([0.0, 1.0]), np.array([0.0, np.nan]), "S_x")
 
-    def test_csv_contract(self):
-        series = TimeSeries(np.array([0.0, 0.5]), np.array([1.0, -2.0]), "S_y")
-        buf = io.StringIO()
-        series.to_csv(buf, p0=0.5, delta=0.4)
-        assert buf.getvalue() == (
-            "t,value,observable,p0,delta\n"
-            "0,1,S_y,0.5,0.4\n"
-            "0.5,-2,S_y,0.5,0.4\n"
-        )
-
 
 class TestDefaultTimeGrid:
     def test_spans_twenty_slow_periods(self, cfg):
@@ -133,11 +123,11 @@ class TestEvolveMode:
 
     def test_step_chain_matches_series_oracle(self, cfg, ops):
         # stepping psi by projecting onto the eigenbasis each step and
-        # contracting reproduces expectation_series
+        # contracting reproduces the oracle table
         wp = single_mode(0.5, DEFAULT_MIX, cfg)
         eig = eigensystem_numeric(build_hamiltonian(0.5, cfg, ops), ops, p=0.5)
         t = np.linspace(0.0, 8.0, 33)
-        series = expectation_series(wp, "alpha_x", t)
+        series = expectation_table(wp, t)["alpha_x"]
         psi = evolve(eig, wp.coeffs[:, 0], 0.0)
         dt = t[1] - t[0]
         vals = []
@@ -151,7 +141,7 @@ class TestEvolveMode:
         wp = single_mode(0.5, UP_PAIR, cfg)
         fs = frequency_set(0.5, cfg)
         t = np.linspace(0.0, 40.0 * np.pi / fs.omega_zb1, 2048, endpoint=False)
-        series = expectation_series(wp, "alpha_x", t)
+        series = expectation_table(wp, t)["alpha_x"]
         x = series.values - np.mean(series.values)
         # projection onto the expected tone captures the full oscillation energy
         proj = 2.0 * np.mean(x * np.exp(-1j * fs.omega_zb1 * t))
@@ -168,7 +158,7 @@ class TestHelicityConstant:
         assert spin_x_constant(single_mode(0.5, EQUAL_MIX, cfg)) == pytest.approx(0.0, abs=1e-12)
 
     def test_time_independence_against_oracle(self, wp, t_grid):
-        series = expectation_series(wp, "S_x", t_grid)
+        series = expectation_table(wp, t_grid)["S_x"]
         const = spin_x_constant(wp)
         assert np.max(np.abs(series.values - const)) <= 1e-10
 
@@ -210,9 +200,10 @@ class TestOracleEquivalence:
         for wp in suite_packets(cfg):
             fs = frequency_set(max(wp.mean_momentum(), 0.0), wp.cfg)
             t = default_time_grid(fs, periods=20.0, samples=1024)
+            table = expectation_table(wp, t)
             for tag in OBSERVABLE_TAGS:
                 analytic = analytic_series(wp, tag, t)
-                oracle = expectation_series(wp, tag, t)
+                oracle = table[tag]
                 assert np.max(np.abs(oracle.values - analytic.values)) <= 1e-9, tag
 
     def test_leftward_packet(self, cfg):
@@ -221,9 +212,10 @@ class TestOracleEquivalence:
         fs = frequency_set(-0.5, cfg)
         assert fs.omega_zb1 == pytest.approx(2.0 * math.sqrt(2.21), rel=1e-12)
         t = default_time_grid(fs, samples=512)
+        table = expectation_table(wp, t)
         for tag in ("S_y", "alpha_x", "r_y"):
             analytic = analytic_series(wp, tag, t)
-            oracle = expectation_series(wp, tag, t)
+            oracle = table[tag]
             assert np.max(np.abs(oracle.values - analytic.values)) <= 1e-9
         # a purely positive-branch packet drifts backward
         drift = analytic_series(single_mode(-0.5, POS_BRANCH, cfg), "alpha_x", t).values[0]
@@ -232,14 +224,69 @@ class TestOracleEquivalence:
     def test_global_phase_invariance(self, cfg, t_grid):
         base = single_mode(0.5, DEFAULT_MIX, cfg)
         rotated = single_mode(0.5, tuple(np.exp(0.7j) * np.asarray(DEFAULT_MIX)), cfg)
+        table_a, table_b = expectation_table(base, t_grid), expectation_table(rotated, t_grid)
         for tag in ("S_y", "alpha_x", "r_y"):
-            a = expectation_series(base, tag, t_grid).values
-            b = expectation_series(rotated, tag, t_grid).values
+            a = table_a[tag].values
+            b = table_b[tag].values
             assert np.max(np.abs(a - b)) <= 1e-14
 
     def test_unknown_observable_rejected(self, wp, t_grid):
+        assert tuple(expectation_table(wp, t_grid)) == OBSERVABLE_TAGS
         with pytest.raises(ValueError):
-            expectation_series(wp, "momentum", t_grid)
+            analytic_series(wp, "momentum", t_grid)
+
+
+class TestExpectationTable:
+    @pytest.mark.parametrize("samples", [4, 255, 256, 257, 1000])
+    def test_chunk_seams(self, cfg, samples):
+        # the grid and its two halves evaluated separately straddle different
+        # chunk boundaries; 4 samples is the smallest grid whose halves hold two
+        wp = gaussian_packet(0.5, 0.05, DEFAULT_MIX, 8, cfg)
+        t = default_time_grid(frequency_set(0.5, cfg), samples=samples)
+        half = samples // 2
+        whole = expectation_table(wp, t)
+        first, second = expectation_table(wp, t[:half]), expectation_table(wp, t[half:])
+        for tag in OBSERVABLE_TAGS:
+            joined = np.concatenate([first[tag].values, second[tag].values])
+            assert np.max(np.abs(whole[tag].values - joined)) <= 1e-13, tag
+
+    @pytest.mark.parametrize("delta", [0.4, 0.0, -0.4])
+    def test_positions_start_at_exact_zero(self, delta):
+        # at delta = 0, omega_L = 0 and the Larmor pairs take the drift path
+        cfg = ParticleConfig.natural(delta)
+        t = default_time_grid(frequency_set(0.5, cfg), samples=300)
+        for wp in (single_mode(0.5, DEFAULT_MIX, cfg), gaussian_packet(0.5, 0.05, DEFAULT_MIX, 16, cfg)):
+            table = expectation_table(wp, t)
+            for tag in ("r_x", "r_y", "r_z"):
+                assert table[tag].values[0] == 0.0, tag
+
+    def test_matches_direct_contraction(self, cfg, ops):
+        wp = gaussian_packet(0.5, 0.05, DEFAULT_MIX, 16, cfg)
+        t = default_time_grid(frequency_set(0.5, cfg), samples=300)
+        table = expectation_table(wp, t)
+        eigs = [eigensystem_numeric(build_hamiltonian(p, cfg, ops), ops, p=p) for p in wp.grid]
+        for tag in OBSERVABLE_TAGS[:6]:
+            kind, axis = tag.split("_")
+            op = ops.spin(axis) if kind == "S" else ops.alpha(axis)
+            direct = np.zeros(t.size)
+            for k, eig in enumerate(eigs):
+                psi = eig.spinors @ (np.exp(-1j * np.outer(eig.energies, t)) * wp.coeffs[:, k][:, None])
+                direct += wp.weights[k] * np.real(np.einsum("it,ij,jt->t", psi.conj(), op, psi))
+            assert np.max(np.abs(table[tag].values - direct)) <= 1e-12, tag
+
+    def test_eigensystems_built_once_per_mode(self, cfg, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return eigensystem_numeric(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "eigensystem_numeric", counted)
+        t = default_time_grid(frequency_set(0.5, cfg), samples=600)
+        for wp in (single_mode(0.5, DEFAULT_MIX, cfg), gaussian_packet(0.5, 0.05, DEFAULT_MIX, 16, cfg)):
+            calls.clear()
+            expectation_table(wp, t)
+            assert len(calls) == wp.n_modes
 
 
 class TestSpinSeries:
@@ -281,7 +328,7 @@ class TestLongitudinalSeries:
         wp = single_mode(0.0, UP_PAIR, cfg)
         fs = frequency_set(0.0, cfg)
         t = np.linspace(0.0, 3.0 * 2.0 * np.pi / fs.omega_zb1, 512, endpoint=False)
-        series = expectation_series(wp, "alpha_x", t)
+        series = expectation_table(wp, t)["alpha_x"]
         # Fourier projection over the integer number of periods is exact for a pure tone
         amp = 2.0 * abs(np.mean(series.values * np.exp(-1j * fs.omega_zb1 * t)))
         assert amp == pytest.approx(1.0, abs=1e-12)
@@ -450,7 +497,7 @@ class TestToneAmplitudes:
         assert omega == pytest.approx(abs(fs.omega_L), rel=1e-12)
         assert abs(amp) > 1e-3
         t = default_time_grid(fs, samples=512)
-        oracle = expectation_series(wp, "S_y", t)
+        oracle = expectation_table(wp, t)["S_y"]
         analytic = analytic_series(wp, "S_y", t)
         assert np.max(np.abs(oracle.values - analytic.values)) <= 1e-9
 

@@ -1,9 +1,12 @@
+import ast
 import inspect
+from pathlib import Path
 
 import zbsim
 from zbsim import algebra, cli, dynamics, spectral, spectrum, wavepacket
 
 MODULES = (algebra, spectrum, wavepacket, dynamics, spectral, cli)
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_package_reexports_exactly_the_public_api():
@@ -12,3 +15,11 @@ def test_package_reexports_exactly_the_public_api():
     exported = {name for name, value in vars(zbsim).items()
                 if not name.startswith("_") and not inspect.ismodule(value)}
     assert exported == set(declared)
+
+
+def test_readme_library_example_runs(capsys):
+    section = README.read_text(encoding="utf-8").split("## Library example", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md: Library example", "exec"), {})
+    report = ast.literal_eval(capsys.readouterr().out)
+    assert [a["label"] for a in report["assignments"]] == ["omega_L", "omega_zb2"]

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from zbsim.dynamics import TimeSeries, default_time_grid, expectation_series
+from zbsim.dynamics import TimeSeries, default_time_grid, expectation_table
 from zbsim.spectral import (
     ResolutionError,
     beat_envelope,
@@ -230,7 +230,7 @@ class TestMatchFrequencies:
         fs = frequency_set(0.5, cfg)
         wp = single_mode(0.5, DEFAULT_MIX, cfg)
         t = default_time_grid(fs)
-        pk = extract_peaks(periodogram(expectation_series(wp, "S_y", t)))
+        pk = extract_peaks(periodogram(expectation_table(wp, t)["S_y"]))
         rep = match_frequencies(pk, fs, tol_rel=1e-3)
         assert rep.clean
         assert {a.label for a in rep.assignments} == {"omega_L", "omega_zb2"}
@@ -271,7 +271,7 @@ class TestDynamicsPipeline:
         fs = frequency_set(0.5, cfg)
         wp = single_mode(0.5, DEFAULT_MIX, cfg)
         t = default_time_grid(fs)
-        spec = periodogram(expectation_series(wp, "S_y", t))
+        spec = periodogram(expectation_table(wp, t)["S_y"])
         pk = extract_peaks(spec, rel_threshold=0.10)
         assert len(pk.peaks) == 2
 
@@ -279,7 +279,7 @@ class TestDynamicsPipeline:
         fs = frequency_set(0.5, cfg)
         wp = single_mode(0.5, DEFAULT_MIX, cfg)
         t = default_time_grid(fs)
-        _, envelope = beat_envelope(expectation_series(wp, "S_y", t))
+        _, envelope = beat_envelope(expectation_table(wp, t)["S_y"])
         assert envelope == pytest.approx(fs.omega_sb, rel=1e-2)
 
     def test_degenerate_run_single_free_peak(self):
@@ -289,7 +289,7 @@ class TestDynamicsPipeline:
         fs = frequency_set(0.5, cfg0)
         wp = single_mode(0.5, DEFAULT_MIX, cfg0)
         t = default_time_grid(fs)
-        pk = extract_peaks(periodogram(expectation_series(wp, "S_y", t)))
+        pk = extract_peaks(periodogram(expectation_table(wp, t)["S_y"]))
         rep = match_frequencies(pk, fs, tol_rel=1e-3)
         assert len(pk.peaks) == 1
         assert rep.clean

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zbsim.algebra import ParticleConfig
-from zbsim.dynamics import expectation_series, spin_x_constant
+from zbsim.dynamics import expectation_table, spin_x_constant
 from zbsim.wavepacket import (
     DEFAULT_MIX,
     EQUAL_MIX,
@@ -72,7 +72,7 @@ class TestQuadratureConvergence:
         results = {}
         for n in (64, 128):
             wp = gaussian_packet(0.5, 0.05, DEFAULT_MIX, n, cfg)
-            sy = expectation_series(wp, "S_y", np.linspace(0.0, 3.4, 64))
+            sy = expectation_table(wp, np.linspace(0.0, 3.4, 64))["S_y"]
             results[n] = (wp.mean_momentum(), spin_x_constant(wp), sy.values[17])
         for a, b in zip(results[64], results[128]):
             assert abs(a - b) <= 1e-6
