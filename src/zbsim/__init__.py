@@ -40,26 +40,17 @@ from .spectral import (
     periodogram,
 )
 from .spectrum import (
-    DEFAULT_DELTA,
-    DEFAULT_V_GRID,
     FrequencySet,
-    KinematicsPoint,
-    SweepRow,
-    blue_shift,
     branch_energy,
     free_zb_frequency,
     frequency_set,
     momentum_from_velocity,
-    rest_frame_longitudinal,
-    sweep,
 )
 from .wavepacket import (
     DEFAULT_MIX,
     EQUAL_MIX,
     Wavepacket,
     gaussian_packet,
-    packet_from_dict,
-    packet_to_dict,
     single_mode,
 )
 

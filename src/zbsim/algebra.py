@@ -2,15 +2,16 @@
 
 All operators are fixed in the standard Dirac-Pauli representation, where
 beta is diagonal and the helicity operator Sigma_x commutes with the model
-Hamiltonian
+Hamiltonian, written in natural units (hbar = c = m = 1: energies in m*c^2,
+momenta in m*c)
 
-    H = c*p*alpha_x + m*c^2*beta + delta*beta*Sigma_x ,
+    H = p*alpha_x + beta + delta*beta*Sigma_x ,
 
 with delta = d*E - mu*B the spin-splitting interaction energy (the dipole
-coupling 2*beta*S_x*(d*E - mu*B) written with S_x = (hbar/2)*Sigma_x).
+coupling 2*beta*S_x*(d*E - mu*B) written with S_x = Sigma_x/2).
 Eigenstates are labeled by the energy branch l = sign(E) and the helicity
 s = sign(<Sigma_x>); the two helicity sectors carry shifted rest energies
-m*c^2 + s*delta, which is what splits the spectrum and every precession
+1 + s*delta, which is what splits the spectrum and every precession
 frequency derived from it.
 """
 
@@ -68,7 +69,7 @@ class DiracOperatorSet:
 
     alpha_j and beta satisfy the Clifford relations {alpha_i, alpha_j} = 2*delta_ij,
     {alpha_i, beta} = 0, beta^2 = 1. sigma_*_big are the block-diagonal spin
-    matrices Sigma_j = diag(sigma_j, sigma_j); spin_j = (hbar/2)*Sigma_j.
+    matrices Sigma_j = diag(sigma_j, sigma_j); spin_j = Sigma_j/2.
     """
 
     alpha_x: np.ndarray
@@ -81,7 +82,6 @@ class DiracOperatorSet:
     spin_x: np.ndarray
     spin_y: np.ndarray
     spin_z: np.ndarray
-    hbar: float = 1.0
 
     def alpha(self, axis: str) -> np.ndarray:
         return {"x": self.alpha_x, "y": self.alpha_y, "z": self.alpha_z}[axis]
@@ -90,7 +90,7 @@ class DiracOperatorSet:
         return {"x": self.spin_x, "y": self.spin_y, "z": self.spin_z}[axis]
 
 
-def build_operators(hbar: float = 1.0) -> DiracOperatorSet:
+def build_operators() -> DiracOperatorSet:
     """Construct the Dirac-Pauli operator set (read-only arrays)."""
     sx, sy, sz = _pauli()
     z2 = np.zeros((2, 2), dtype=complex)
@@ -111,70 +111,31 @@ def build_operators(hbar: float = 1.0) -> DiracOperatorSet:
         "sigma_y_big": blockdiag(sy),
         "sigma_z_big": blockdiag(sz),
     }
-    mats["spin_x"] = 0.5 * hbar * mats["sigma_x_big"]
-    mats["spin_y"] = 0.5 * hbar * mats["sigma_y_big"]
-    mats["spin_z"] = 0.5 * hbar * mats["sigma_z_big"]
+    mats["spin_x"] = 0.5 * mats["sigma_x_big"]
+    mats["spin_y"] = 0.5 * mats["sigma_y_big"]
+    mats["spin_z"] = 0.5 * mats["sigma_z_big"]
     for m in mats.values():
         m.setflags(write=False)
-    return DiracOperatorSet(hbar=hbar, **mats)
+    return DiracOperatorSet(**mats)
 
 
 @dataclass(frozen=True)
 class ParticleConfig:
-    """Particle constants, dipole couplings and the derived spin splitting.
+    """The spin splitting delta = d*E - mu*B in units of m*c^2.
 
-    `delta` may be given directly or derived as d*E_field - mu*B_field; when
-    both are supplied they must agree. The model requires |delta| < m*c^2 so
-    that both helicity sectors keep a positive rest energy (stronger fields
-    would reorder the spectrum and are rejected rather than extrapolated).
+    The model requires |delta| < 1 so that both helicity sectors keep a
+    positive rest energy 1 + s*delta (stronger fields would reorder the
+    spectrum and are rejected rather than extrapolated).
     """
 
-    mass: float = 1.0
-    c: float = 1.0
-    hbar: float = 1.0
-    mu: float = 0.0
-    d: float = 0.0
-    B_field: float = 0.0
-    E_field: float = 0.0
-    delta: float | None = None
+    delta: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("mass", "c", "hbar"):
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
-        derived = self.d * self.E_field - self.mu * self.B_field
-        if self.delta is None:
-            object.__setattr__(self, "delta", derived)
-        elif any((self.mu, self.d, self.B_field, self.E_field)):
-            tol = 1e-12 * max(self.mc2, abs(self.delta), abs(derived))
-            if abs(self.delta - derived) > tol:
-                raise ConfigError(
-                    f"delta={self.delta} inconsistent with d*E - mu*B = {derived}"
-                )
-        if not abs(self.delta) < self.mc2:  # also rejects NaN
-            raise ConfigError(
-                f"|delta|={abs(self.delta)} must stay below m*c^2={self.mc2}"
-            )
-
-    @property
-    def mc2(self) -> float:
-        return self.mass * self.c**2
-
-    @property
-    def rest_energy_up(self) -> float:
-        return self.mc2 + self.delta
-
-    @property
-    def rest_energy_down(self) -> float:
-        return self.mc2 - self.delta
+        if not abs(self.delta) < 1.0:  # also rejects NaN
+            raise ConfigError(f"|delta|={abs(self.delta)} must stay below m*c^2=1.0")
 
     def rest_energy(self, s: int) -> float:
-        return self.mc2 + s * self.delta
-
-    @classmethod
-    def natural(cls, delta: float = 0.0) -> "ParticleConfig":
-        """Natural-unit config (hbar = c = m = 1) with a direct splitting."""
-        return cls(delta=delta)
+        return 1.0 + s * self.delta
 
 
 @dataclass(frozen=True)
@@ -187,11 +148,8 @@ class EigenSystem:
     elements reproducible across the numeric and closed-form constructions.
     """
 
-    p: float
     energies: np.ndarray
     spinors: np.ndarray
-    rest_energy_up: float
-    rest_energy_down: float
 
     def energy(self, l: int, s: int) -> float:
         return float(self.energies[label_index(l, s)])
@@ -199,21 +157,14 @@ class EigenSystem:
     def spinor(self, l: int, s: int) -> np.ndarray:
         return self.spinors[:, label_index(l, s)]
 
-    def rest_energy(self, s: int) -> float:
-        return self.rest_energy_up if s > 0 else self.rest_energy_down
-
 
 def build_hamiltonian(
     p: float, cfg: ParticleConfig, ops: DiracOperatorSet | None = None
 ) -> np.ndarray:
-    """Model Hamiltonian c*p*alpha_x + m*c^2*beta + delta*beta*Sigma_x."""
+    """Model Hamiltonian p*alpha_x + beta + delta*beta*Sigma_x."""
     if ops is None:
-        ops = build_operators(cfg.hbar)
-    H = (
-        cfg.c * p * ops.alpha_x
-        + cfg.mc2 * ops.beta
-        + cfg.delta * (ops.beta @ ops.sigma_x_big)
-    )
+        ops = build_operators()
+    H = p * ops.alpha_x + ops.beta + cfg.delta * (ops.beta @ ops.sigma_x_big)
     H.setflags(write=False)
     return H
 
@@ -236,15 +187,12 @@ def _cluster_indices(values: np.ndarray, tol: float) -> Iterable[list[int]]:
     yield group
 
 
-def eigensystem_numeric(
-    H: np.ndarray, ops: DiracOperatorSet, p: float = 0.0, c: float = 1.0
-) -> EigenSystem:
+def eigensystem_numeric(H: np.ndarray, ops: DiracOperatorSet) -> EigenSystem:
     """Diagonalize H and label eigenpairs by (branch, helicity).
 
     Degenerate subspaces (delta = 0 and/or p = 0) are resolved by
     co-diagonalizing with Sigma_x, so the labels stay continuous across
-    parameters. Rest energies are recovered from sqrt(E^2 - (c*p)^2) of the
-    positive-branch levels. Raises ValueError for non-Hermitian input.
+    parameters. Raises ValueError for non-Hermitian input.
     """
     H = np.asarray(H, dtype=complex)
     if H.shape != (4, 4):
@@ -286,18 +234,9 @@ def eigensystem_numeric(
         energies[k] = evals[i]
         spinors[:, k] = _fix_phase(v)
 
-    cp2 = (c * p) ** 2
-    rest_up = float(np.sqrt(max(energies[label_index(+1, +1)] ** 2 - cp2, 0.0)))
-    rest_down = float(np.sqrt(max(energies[label_index(+1, -1)] ** 2 - cp2, 0.0)))
     energies.setflags(write=False)
     spinors.setflags(write=False)
-    return EigenSystem(
-        p=float(p),
-        energies=energies,
-        spinors=spinors,
-        rest_energy_up=rest_up,
-        rest_energy_down=rest_down,
-    )
+    return EigenSystem(energies=energies, spinors=spinors)
 
 
 def eigensystem_analytic(p: float, cfg: ParticleConfig) -> EigenSystem:
@@ -306,10 +245,10 @@ def eigensystem_analytic(p: float, cfg: ParticleConfig) -> EigenSystem:
     In the helicity-s sector, spanned by u_s = (chi_s, 0) and w_s = (0, chi_s)
     with sigma_x chi_s = s*chi_s, the Hamiltonian reduces to
 
-        [[a_s, s*c*p], [s*c*p, -a_s]],   a_s = m*c^2 + s*delta,
+        [[a_s, s*p], [s*p, -a_s]],   a_s = 1 + s*delta,
 
-    whose eigenvalues are +-sqrt((c*p)^2 + a_s^2) with eigenvectors
-    (a_s + R, b) and (-b, a_s + R), b = s*c*p. Phases follow the same
+    whose eigenvalues are +-sqrt(p^2 + a_s^2) with eigenvectors
+    (a_s + R, b) and (-b, a_s + R), b = s*p. Phases follow the same
     convention as eigensystem_numeric.
     """
     sqrt2 = np.sqrt(2.0)
@@ -317,7 +256,7 @@ def eigensystem_analytic(p: float, cfg: ParticleConfig) -> EigenSystem:
     spinors = np.empty((4, 4), dtype=complex)
     for l, s in BRANCH_SPIN_LABELS:
         a = cfg.rest_energy(s)
-        b = s * cfg.c * p
+        b = s * p
         R = float(np.hypot(a, b))
         if l > 0:
             x1, x2 = a + R, b
@@ -330,13 +269,7 @@ def eigensystem_analytic(p: float, cfg: ParticleConfig) -> EigenSystem:
         spinors[:, k] = _fix_phase(v)
     energies.setflags(write=False)
     spinors.setflags(write=False)
-    return EigenSystem(
-        p=float(p),
-        energies=energies,
-        spinors=spinors,
-        rest_energy_up=cfg.rest_energy_up,
-        rest_energy_down=cfg.rest_energy_down,
-    )
+    return EigenSystem(energies=energies, spinors=spinors)
 
 
 def matrix_element(op_matrix: np.ndarray, bra: np.ndarray, ket: np.ndarray) -> complex:

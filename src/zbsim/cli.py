@@ -13,6 +13,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -25,13 +26,7 @@ from .dynamics import (
     tone_amplitudes,
 )
 from .spectral import ResolutionError, beat_envelope, extract_peaks, match_frequencies, periodogram
-from .spectrum import (
-    FrequencySet,
-    free_zb_frequency,
-    frequency_set,
-    momentum_from_velocity,
-    sweep,
-)
+from .spectrum import FrequencySet, free_zb_frequency, frequency_set, momentum_from_velocity
 from .wavepacket import DEFAULT_MIX, gaussian_packet, single_mode
 
 EXIT_OK = 0
@@ -72,24 +67,20 @@ class UnitScales:
     energy: float = 1.0
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return f"{x:.12g}"
-    return str(x)
-
-
-def _write_text(text: str, out: str | None) -> None:
+def _write_text(chunks: Iterable[str], out: str | None) -> None:
+    """Write the chunks in order to `out`, or to stdout; a generator is never held whole."""
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
 
 
-def _csv_text(header: tuple[str, ...], rows: list[tuple]) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(x) for x in row) for row in rows)
-    return "\n".join(lines) + "\n"
+def _csv_text(header: tuple[str, ...], rows: Iterable[tuple]) -> Iterator[str]:
+    """CSV lines (header first) of float rows at 12 significant digits, each ending in a newline."""
+    yield ",".join(header) + "\n"
+    for row in rows:
+        yield ",".join(f"{x:.12g}" for x in row) + "\n"
 
 
 def _json_text(obj) -> str:
@@ -116,15 +107,20 @@ def _parse_mix(text: str) -> tuple[complex, ...]:
 def build_particle_config(args: argparse.Namespace) -> tuple[ParticleConfig, UnitScales]:
     """Resolve flags to a natural-unit ParticleConfig plus output scales.
 
-    Exactly one of --delta or the dipole/field group may be given; with
-    neither, the stock splitting 0.4 m*c^2 is used. SI inputs are converted at
-    this boundary and outputs rescaled by m*c^2/hbar (frequencies), m*c
-    (momenta), hbar/(m*c^2) (times) and m*c^2 (energies, such as delta).
+    This is the only place that knows about units. Exactly one of --delta or
+    the dipole/field group may be given, and the group gives
+    delta = d*E - mu*B; with neither, the stock splitting 0.4 m*c^2 is used.
+    SI inputs (delta in joules) are divided by m*c^2 here, and outputs are
+    rescaled by m*c^2/hbar (frequencies), m*c (momenta), hbar/(m*c^2) (times)
+    and m*c^2 (energies, such as delta).
     """
     field_group = [args.mu, args.dmom, args.bfield, args.efield]
     has_fields = any(x is not None for x in field_group)
     if args.delta is not None and has_fields:
         raise ConfigError("give either --delta or the (--mu/--dmom/--bfield/--efield) group, not both")
+    delta = args.delta
+    if has_fields:
+        delta = (args.dmom or 0.0) * (args.efield or 0.0) - (args.mu or 0.0) * (args.bfield or 0.0)
 
     if args.units == "si":
         mass = args.mass
@@ -133,33 +129,14 @@ def build_particle_config(args: argparse.Namespace) -> tuple[ParticleConfig, Uni
         if not (mass > 0 and math.isfinite(mass)):
             raise ConfigError(f"--mass must be a positive, finite number of kg, got {mass}")
         mc2 = mass * SI_C**2
-        if has_fields:
-            mu = args.mu or 0.0
-            d = args.dmom or 0.0
-            b = args.bfield or 0.0
-            e = args.efield or 0.0
-            delta_j = d * e - mu * b
-        else:
-            delta_j = args.delta if args.delta is not None else 0.4 * mc2
-        # internal math runs in natural units; the scales carry the SI boundary
-        cfg = ParticleConfig(delta=delta_j / mc2)
+        delta_j = delta if delta is not None else 0.4 * mc2
         scales = UnitScales(momentum=mass * SI_C, frequency=mc2 / SI_HBAR,
                             time=SI_HBAR / mc2, energy=mc2)
-        return cfg, scales
+        return ParticleConfig(delta=delta_j / mc2), scales
 
     if args.mass not in (None, 1.0):
         raise ConfigError("natural units fix the mass at 1; --mass needs --units si")
-    if has_fields:
-        cfg = ParticleConfig(
-            mu=args.mu or 0.0,
-            d=args.dmom or 0.0,
-            B_field=args.bfield or 0.0,
-            E_field=args.efield or 0.0,
-        )
-    else:
-        delta = args.delta if args.delta is not None else 0.4
-        cfg = ParticleConfig(delta=delta)
-    return cfg, UnitScales()
+    return ParticleConfig(delta=delta if delta is not None else 0.4), UnitScales()
 
 
 def _require_finite(**values: float) -> None:
@@ -174,28 +151,32 @@ def _require_positive(**values: float) -> None:
             raise ConfigError(f"--{name.replace('_', '-')} must be positive and finite, got {value}")
 
 
-def _resolve_momentum(args: argparse.Namespace, cfg: ParticleConfig) -> tuple[float, float | None]:
+def _resolve_momentum(args: argparse.Namespace) -> tuple[float, float | None]:
     """(p, v or None) in natural units from --p / --v."""
     if args.p is not None and args.v is not None:
         raise ConfigError("give either --p or --v, not both")
     if args.v is not None:
-        kin = momentum_from_velocity(args.v, cfg)
-        return kin.p, kin.v
+        return momentum_from_velocity(args.v), args.v
     p = args.p if args.p is not None else 0.0
     _require_finite(p=p)
     return p, None
 
 
+def _frequency_columns(p, cfg: ParticleConfig, scales: UnitScales) -> dict:
+    """p, omega_zb and every FrequencySet field at momentum p (scalar or array), in output units."""
+    fs = frequency_set(p, cfg)
+    cols = {"p": p * scales.momentum, "omega_zb": free_zb_frequency(p) * scales.frequency}
+    cols.update((name, getattr(fs, name) * scales.frequency) for name in FrequencySet.FIELDS)
+    return cols
+
+
 def cmd_frequencies(args: argparse.Namespace) -> int:
     cfg, scales = build_particle_config(args)
-    p, v = _resolve_momentum(args, cfg)
-    fs = frequency_set(p, cfg)
-    row = {"p": p * scales.momentum, "delta": cfg.delta * scales.energy, "v": v}
-    for name in FrequencySet.FIELDS:
-        row[name] = getattr(fs, name) * scales.frequency
-    row["omega_zb"] = free_zb_frequency(p, cfg) * scales.frequency
+    p, v = _resolve_momentum(args)
+    row = _frequency_columns(p, cfg, scales)
+    row.update(delta=cfg.delta * scales.energy, v=v)
     if args.format == "json":
-        text = _json_text(row)
+        text = [_json_text(row)]
     else:
         header = ("p", "delta", "omega_zb") + FrequencySet.FIELDS
         text = _csv_text(header, [tuple(row[h] for h in header)])
@@ -203,24 +184,25 @@ def cmd_frequencies(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+#: Rows formatted per block by `sweep`: bounds the Python floats alive at once.
+_SWEEP_BLOCK = 4096
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg, scales = build_particle_config(args)
     if args.steps < 1:
         raise ConfigError(f"--steps must be at least 1, got {args.steps}")
     grid = np.linspace(0.0, args.v_max, args.steps)
-    rows = sweep(grid, delta=cfg.delta, cfg=cfg)
-    records = []
-    for row in rows:
-        rec = {"v": row.v, "p": row.p * scales.momentum,
-               "omega_zb": free_zb_frequency(row.p, cfg) * scales.frequency}
-        for name in FrequencySet.FIELDS:
-            rec[name] = getattr(row.freqs, name) * scales.frequency
-        records.append(rec)
+    cols = _frequency_columns(momentum_from_velocity(grid), cfg, scales)
+    cols["v"] = grid
     header = _FIGURES.get(args.figure, ("v", "p", "omega_zb") + FrequencySet.FIELDS)
+    table = np.column_stack([np.broadcast_to(cols[h], grid.shape) for h in header])
     if args.format == "json":
-        text = _json_text([{h: rec[h] for h in header} for rec in records])
+        text = [_json_text([dict(zip(header, row)) for row in table.tolist()])]
     else:
-        text = _csv_text(header, [tuple(rec[h] for h in header) for rec in records])
+        rows = (row for start in range(0, len(table), _SWEEP_BLOCK)
+                for row in table[start:start + _SWEEP_BLOCK].tolist())
+        text = _csv_text(header, rows)
     _write_text(text, args.out)
     return EXIT_OK
 
@@ -268,7 +250,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
             tail = f",{tag},{p0:.12g},{delta:.12g}"
             lines.extend(f"{t},{x:.12g}{tail}" for t, x in zip(t_cells, table[tag].values.tolist()))
         text = "\n".join(lines) + "\n"
-    _write_text(text, args.out)
+    _write_text([text], args.out)
     return EXIT_OK
 
 
@@ -385,7 +367,7 @@ def run_verification(args: argparse.Namespace) -> dict:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     report = run_verification(args)
-    _write_text(_json_text(report), args.out)
+    _write_text([_json_text(report)], args.out)
     return EXIT_OK if report["pass"] else EXIT_VERIFY
 
 

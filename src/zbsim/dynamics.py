@@ -1,6 +1,7 @@
 """Expectation-value time series: closed-form tone sums and a brute-force oracle.
 
-Two independent routes to every observable:
+All quantities are in natural units (hbar = c = m = 1). There are two
+independent routes to every observable:
 
 * `expectation_table` evolves each momentum mode exactly by eigenphase
   rotation and contracts <psi|O|psi> over all 16 eigenpairs per sample, for
@@ -121,18 +122,14 @@ def _check_tag(observable_tag: str) -> None:
 
 
 def _operator(ops: DiracOperatorSet, observable_tag: str) -> np.ndarray:
-    """S_j for spin tags; alpha_j for velocity tags and for r_j, the integral of c*alpha_j."""
+    """S_j for spin tags; alpha_j for velocity tags and for r_j, the integral of alpha_j."""
     kind, axis = observable_tag.split("_")
     return ops.spin(axis) if kind == "S" else ops.alpha(axis)
 
 
 def _mode_eigensystems(wp: Wavepacket) -> tuple[DiracOperatorSet, list[EigenSystem]]:
-    ops = build_operators(wp.cfg.hbar)
-    eigs = [
-        eigensystem_numeric(build_hamiltonian(p, wp.cfg, ops), ops, p=p, c=wp.cfg.c)
-        for p in wp.grid
-    ]
-    return ops, eigs
+    ops = build_operators()
+    return ops, [eigensystem_numeric(build_hamiltonian(p, wp.cfg, ops), ops) for p in wp.grid]
 
 
 def _check_real(values: np.ndarray, what: str) -> np.ndarray:
@@ -145,10 +142,10 @@ def _check_real(values: np.ndarray, what: str) -> np.ndarray:
 def expectation_table(wp: Wavepacket, t_grid: np.ndarray) -> dict[str, TimeSeries]:
     """Brute-force oracle series of all nine observables, in one pass.
 
-    Each mode evolves as psi_k(t) = V_k (e^{-i E_k t/hbar} * c_k), so
+    Each mode evolves as psi_k(t) = V_k (e^{-i E_k t} * c_k), so
     <O>(t) = sum_k sum_ij A_kij e^{i w_kij t}, with A_kij = w_k conj(c_ki) c_kj <i|O|j>
-    and w_kij = (E_ki - E_kj)/hbar, over all 16 eigenpairs of every mode.
-    Position tags integrate c*<alpha_j> term by term from r(0) = 0: a term
+    and w_kij = E_ki - E_kj, over all 16 eigenpairs of every mode.
+    Position tags integrate <alpha_j> term by term from r(0) = 0: a term
     becomes A (e^{i w t} - 1)/(i w), and a w = 0 term the drift A t.
     Eigensystems are built once; per time chunk the 4 level phases of each
     mode give the 16 pair phases that all nine tags share.
@@ -156,7 +153,7 @@ def expectation_table(wp: Wavepacket, t_grid: np.ndarray) -> dict[str, TimeSerie
     t_grid = np.asarray(t_grid, dtype=float)
     ops, eigs = _mode_eigensystems(wp)
     spinors = np.stack([eig.spinors for eig in eigs])                  # (K, 4, 4)
-    levels = np.stack([eig.energies for eig in eigs]) / wp.cfg.hbar   # (K, 4)
+    levels = np.stack([eig.energies for eig in eigs])                  # (K, 4)
     coeffs = wp.coeffs.T                                               # (K, 4)
     op_stack = np.stack([_operator(ops, tag) for tag in OBSERVABLE_TAGS[:6]])
     elems = np.einsum("kai,nab,kbj->nkij", spinors.conj(), op_stack, spinors)
@@ -164,7 +161,7 @@ def expectation_table(wp: Wavepacket, t_grid: np.ndarray) -> dict[str, TimeSerie
             * elems).reshape(6, -1)                                    # (6, K*16)
     omegas = (levels[:, :, None] - levels[:, None, :]).ravel()
     still = omegas == 0.0
-    rates = wp.cfg.c * amps[3:]  # d r_j/dt = c*alpha_j
+    rates = amps[3:]  # d r_j/dt = alpha_j
     pos_amps = np.divide(rates, 1j * omegas, out=np.zeros_like(rates), where=~still)
     drift = rates[:, still].sum(axis=1)
 
@@ -188,13 +185,12 @@ def _tone_table(wp: Wavepacket, observable_tag: str) -> tuple[float, list[tuple[
     """(constant, [(tone label, omega, A)]) of an observable over every mode.
 
     The series is constant + sum 2*Re[A*exp(i*omega*t)]. omega is the signed
-    closed-form level difference (l_bra*E_bra - l_ket*E_ket)/hbar and A the
+    closed-form level difference l_bra*E_bra - l_ket*E_ket and A the
     weighted amplitude w*conj(c_bra)*c_ket*<bra|O|ket>. For r_j the table is
-    that of its rate c*alpha_j, which callers integrate.
+    that of its rate alpha_j, which callers integrate.
     """
     cfg = wp.cfg
     kind, axis = observable_tag.split("_")
-    rate = cfg.c if kind == "r" else 1.0
     key = f"alpha_{axis}" if kind == "r" else observable_tag
     ops, eigs = _mode_eigensystems(wp)
     op = _operator(ops, observable_tag)
@@ -205,15 +201,15 @@ def _tone_table(wp: Wavepacket, observable_tag: str) -> tuple[float, list[tuple[
         energy = {s: branch_energy(p, cfg, s) for s in (+1, -1)}
         for i, (l, s) in enumerate(BRANCH_SPIN_LABELS):
             if key == "S_x":
-                constant += w * abs(c[i]) ** 2 * s * cfg.hbar / 2.0
-            elif key == "alpha_x":  # group velocity c*p/E of the level
-                constant += w * abs(c[i]) ** 2 * cfg.c * p / (l * energy[s])
+                constant += w * abs(c[i]) ** 2 * s / 2.0
+            elif key == "alpha_x":  # group velocity p/E of the level
+                constant += w * abs(c[i]) ** 2 * p / (l * energy[s])
         for label, (lb, sb), (lk, sk) in _CROSS_TERMS[key]:
-            omega = (lb * energy[sb] - lk * energy[sk]) / cfg.hbar
+            omega = lb * energy[sb] - lk * energy[sk]
             bra, ket = label_index(lb, sb), label_index(lk, sk)
             elem = matrix_element(op, eig.spinors[:, bra], eig.spinors[:, ket])
-            terms.append((label, omega, rate * w * np.conj(c[bra]) * c[ket] * elem))
-    return rate * constant, terms
+            terms.append((label, omega, w * np.conj(c[bra]) * c[ket] * elem))
+    return constant, terms
 
 
 def analytic_series(wp: Wavepacket, observable_tag: str, t_grid: np.ndarray) -> TimeSeries:
@@ -240,7 +236,7 @@ def analytic_series(wp: Wavepacket, observable_tag: str, t_grid: np.ndarray) -> 
 
 
 def spin_x_constant(wp: Wavepacket) -> float:
-    """Helicity expectation sum_k w_k sum_{l,s} |c|^2 * s*hbar/2; a constant of motion."""
+    """Helicity expectation sum_k w_k sum_{l,s} |c|^2 * s/2; a constant of motion."""
     return _tone_table(wp, "S_x")[0]
 
 

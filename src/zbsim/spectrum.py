@@ -1,22 +1,26 @@
 """Closed-form frequency algebra of the split Dirac spectrum.
 
-Every characteristic frequency is an eigenvalue difference over hbar:
+In natural units (hbar = c = m = 1) every characteristic frequency is an
+eigenvalue difference:
 
-    omega_L   = (E+^up - E+^down)/hbar      Larmor precession
-    omega_zb1 = (E+^up - E-^up)/hbar        longitudinal ZB, up sector
-    omega_zb2 = (E+^up - E-^down)/hbar      transverse spin/position ZB
-    omega_zb3 = (E+^down - E-^down)/hbar    longitudinal ZB, down sector
+    omega_L   = E+^up - E+^down        Larmor precession
+    omega_zb1 = E+^up - E-^up          longitudinal ZB, up sector
+    omega_zb2 = E+^up - E-^down        transverse spin/position ZB
+    omega_zb3 = E+^down - E-^down      longitudinal ZB, down sector
 
-with E+-^s = +-sqrt((c*p)^2 + (m*c^2 + s*delta)^2). Beats are differences of
+with E+-^s = +-sqrt(p^2 + (1 + s*delta)^2). Beats are differences of
 simultaneous tones: omega_sb = omega_zb2 - omega_L (spin channel) and
 omega_ob1 = omega_zb1 - omega_zb3 = 2*omega_L (longitudinal orbital channel).
-2*m*c^2/hbar separates Larmor precession (below) from spin ZB (above) and is
-carried along as `omega_forbidden`.
+2 (that is 2*m*c^2/hbar) separates Larmor precession (below) from spin ZB
+(above) and is carried along as `omega_forbidden`.
+
+Every function takes a scalar or an array of momenta (velocities) and
+broadcasts; a scalar argument gives Python floats.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,36 +28,30 @@ from .algebra import ConfigError, ParticleConfig
 
 __all__ = [
     "FrequencySet",
-    "KinematicsPoint",
-    "SweepRow",
-    "DEFAULT_V_GRID",
-    "DEFAULT_DELTA",
     "branch_energy",
     "free_zb_frequency",
-    "blue_shift",
     "frequency_set",
-    "rest_frame_longitudinal",
     "momentum_from_velocity",
-    "sweep",
 ]
 
-#: Default sweep grid (v/c) and splitting used by the bundled figure data.
-DEFAULT_V_GRID = np.linspace(0.0, 0.99, 100)
-DEFAULT_DELTA = 0.4
+
+def _float_or_array(x: np.ndarray) -> float | np.ndarray:
+    """A 0-d result as a Python float (a numpy scalar prints as np.float64(...))."""
+    return float(x) if np.ndim(x) == 0 else x
 
 
 @dataclass(frozen=True)
 class FrequencySet:
-    """All characteristic angular frequencies at fixed (p, delta)."""
+    """All characteristic angular frequencies at fixed delta and momentum (or momenta)."""
 
-    p: float
+    p: float | np.ndarray
     delta: float
-    omega_L: float
-    omega_zb1: float
-    omega_zb2: float
-    omega_zb3: float
-    omega_sb: float
-    omega_ob1: float
+    omega_L: float | np.ndarray
+    omega_zb1: float | np.ndarray
+    omega_zb2: float | np.ndarray
+    omega_zb3: float | np.ndarray
+    omega_sb: float | np.ndarray
+    omega_ob1: float | np.ndarray
     omega_forbidden: float
 
     #: Field order used by table/CSV renderings.
@@ -80,54 +78,27 @@ class FrequencySet:
             "omega_zb3": self.omega_zb3,
         }
 
-    def as_dict(self) -> dict[str, float]:
-        out = {"p": self.p, "delta": self.delta}
-        out.update({name: getattr(self, name) for name in self.FIELDS})
-        return out
+
+def branch_energy(p: float | np.ndarray, cfg: ParticleConfig, s: int) -> float | np.ndarray:
+    """Positive-branch energy sqrt(p^2 + (1 + s*delta)^2)."""
+    return _float_or_array(np.hypot(p, cfg.rest_energy(s)))
 
 
-@dataclass(frozen=True)
-class KinematicsPoint:
-    v: float
-    gamma: float
-    p: float
+def free_zb_frequency(p: float | np.ndarray) -> float | np.ndarray:
+    """Free-particle ZB frequency 2*sqrt(p^2 + 1)."""
+    return _float_or_array(2.0 * np.hypot(p, 1.0))
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    v: float
-    p: float
-    freqs: FrequencySet
-
-
-def branch_energy(p: float, cfg: ParticleConfig, s: int) -> float:
-    """Positive-branch energy sqrt((c*p)^2 + (m*c^2 + s*delta)^2)."""
-    return float(np.hypot(cfg.c * p, cfg.rest_energy(s)))
-
-
-def free_zb_frequency(p: float, cfg: ParticleConfig | None = None) -> float:
-    """Free-particle ZB frequency (2/hbar)*sqrt((c*p)^2 + (m*c^2)^2)."""
-    cfg = cfg or ParticleConfig.natural()
-    return 2.0 * np.hypot(cfg.c * p, cfg.mc2) / cfg.hbar
-
-
-def blue_shift(p: float, cfg: ParticleConfig | None = None) -> float:
-    """Motional increase of the free ZB frequency over its rest value 2mc^2/hbar."""
-    cfg = cfg or ParticleConfig.natural()
-    return free_zb_frequency(p, cfg) - 2.0 * cfg.mc2 / cfg.hbar
-
-
-def frequency_set(p: float, cfg: ParticleConfig) -> FrequencySet:
-    """Evaluate every characteristic frequency at momentum p."""
+def frequency_set(p: float | np.ndarray, cfg: ParticleConfig) -> FrequencySet:
+    """Evaluate every characteristic frequency at momentum p (scalar or array)."""
     e_up = branch_energy(p, cfg, +1)
     e_down = branch_energy(p, cfg, -1)
-    hbar = cfg.hbar
-    omega_L = (e_up - e_down) / hbar
-    omega_zb1 = 2.0 * e_up / hbar
-    omega_zb2 = (e_up + e_down) / hbar
-    omega_zb3 = 2.0 * e_down / hbar
+    omega_L = e_up - e_down
+    omega_zb1 = 2.0 * e_up
+    omega_zb2 = e_up + e_down
+    omega_zb3 = 2.0 * e_down
     return FrequencySet(
-        p=float(p),
+        p=_float_or_array(np.asarray(p, dtype=float)),
         delta=cfg.delta,
         omega_L=omega_L,
         omega_zb1=omega_zb1,
@@ -135,41 +106,14 @@ def frequency_set(p: float, cfg: ParticleConfig) -> FrequencySet:
         omega_zb3=omega_zb3,
         omega_sb=omega_zb2 - omega_L,
         omega_ob1=omega_zb1 - omega_zb3,
-        omega_forbidden=2.0 * cfg.mc2 / hbar,
+        omega_forbidden=2.0,
     )
 
 
-def rest_frame_longitudinal(delta: float, cfg: ParticleConfig | None = None) -> tuple[float, float]:
-    """Rest-frame longitudinal ZB pair (2(mc^2 + delta)/hbar, 2(mc^2 - delta)/hbar)."""
-    base = ParticleConfig(mass=1.0, c=1.0, hbar=1.0) if cfg is None else cfg
-    if not abs(delta) < base.mc2:  # also rejects NaN
-        raise ConfigError(f"|delta|={abs(delta)} must stay below m*c^2={base.mc2}")
-    return (
-        2.0 * (base.mc2 + delta) / base.hbar,
-        2.0 * (base.mc2 - delta) / base.hbar,
-    )
-
-
-def momentum_from_velocity(v: float, cfg: ParticleConfig | None = None) -> KinematicsPoint:
-    """Relativistic kinematics p = gamma*m*v; requires |v| < c."""
-    cfg = cfg or ParticleConfig.natural()
-    if not abs(v) < cfg.c:  # also rejects NaN
-        raise ConfigError(f"|v|={abs(v)} must stay below c={cfg.c}")
-    gamma = 1.0 / np.sqrt(1.0 - (v / cfg.c) ** 2)
-    return KinematicsPoint(v=float(v), gamma=float(gamma), p=float(gamma * cfg.mass * v))
-
-
-def sweep(
-    v_grid: np.ndarray | None = None,
-    delta: float = DEFAULT_DELTA,
-    cfg: ParticleConfig | None = None,
-) -> list[SweepRow]:
-    """Frequency table over a velocity grid, one row per v (figure-ready)."""
-    cfg = cfg or ParticleConfig.natural()
-    cfg = replace(cfg, delta=delta, mu=0.0, d=0.0, B_field=0.0, E_field=0.0)
-    grid = DEFAULT_V_GRID if v_grid is None else np.asarray(v_grid, dtype=float)
-    rows = []
-    for v in grid:
-        kin = momentum_from_velocity(float(v), cfg)
-        rows.append(SweepRow(v=kin.v, p=kin.p, freqs=frequency_set(kin.p, cfg)))
-    return rows
+def momentum_from_velocity(v: float | np.ndarray) -> float | np.ndarray:
+    """Relativistic momentum p = gamma*v of a velocity v (in units of c); requires |v| < 1."""
+    v = np.asarray(v, dtype=float)
+    speed = np.abs(v)
+    if not np.all(speed < 1.0):  # also rejects NaN
+        raise ConfigError(f"|v|={np.max(speed)} must stay below c=1.0")
+    return _float_or_array(1.0 / np.sqrt(1.0 - v * v) * v)

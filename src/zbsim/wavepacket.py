@@ -6,7 +6,7 @@ sum-integral over branch, spin and momentum becomes the finite sum
 sum_k w_k sum_{l,s} |c|^2 = 1. The position-space phase factor is never
 materialized: every observable computed downstream is an expectation value,
 which only needs the coefficients and the per-mode eigensystem. Each mode
-evolves by the eigenphase exp(-i*E_l^s*t/hbar) on its coefficient.
+evolves by the eigenphase exp(-i*E_l^s*t) on its coefficient (natural units).
 """
 
 from __future__ import annotations
@@ -24,8 +24,6 @@ __all__ = [
     "DEFAULT_MIX",
     "gaussian_packet",
     "single_mode",
-    "packet_to_dict",
-    "packet_from_dict",
 ]
 
 _NORM_TOL = 1e-10
@@ -120,7 +118,7 @@ def gaussian_packet(
     The grid spans p0 +- 5*sigma_p with n_modes uniform points;
     c[(l,s), k] ~ mix[(l,s)] * exp(-(p_k - p0)^2 / (4*sigma_p^2)), normalized.
     """
-    cfg = cfg or ParticleConfig.natural()
+    cfg = cfg or ParticleConfig()
     if not sigma_p > 0:
         raise ValueError(f"sigma_p must be positive, got {sigma_p}")
     if n_modes < 1:
@@ -144,44 +142,8 @@ def single_mode(
     cfg: ParticleConfig | None = None,
 ) -> Wavepacket:
     """One grid point with weight 1; the unit-test carrier for per-mode formulas."""
-    cfg = cfg or ParticleConfig.natural()
+    cfg = cfg or ParticleConfig()
     mix_arr = np.asarray(mix, dtype=complex)
     if mix_arr.shape != (len(BRANCH_SPIN_LABELS),):
         raise ValueError(f"mix must have 4 entries in {LABEL_NAMES} order")
     return _normalized(np.array([float(p)]), np.ones(1), mix_arr[:, None].copy(), cfg)
-
-
-def packet_to_dict(wp: Wavepacket) -> dict:
-    """JSON-ready document; complex amplitudes become [re, im] pairs."""
-    return {
-        "config": {
-            "mass": wp.cfg.mass,
-            "c": wp.cfg.c,
-            "hbar": wp.cfg.hbar,
-            "delta": wp.cfg.delta,
-        },
-        "grid": [float(p) for p in wp.grid],
-        "weights": [float(w) for w in wp.weights],
-        "coeffs": {
-            name: [[float(c.real), float(c.imag)] for c in wp.coeffs[i]]
-            for i, name in enumerate(LABEL_NAMES)
-        },
-    }
-
-
-def packet_from_dict(doc: dict) -> Wavepacket:
-    """Inverse of packet_to_dict; config keys other than mass, c, hbar and delta are ignored."""
-    cfg_doc = doc["config"]
-    cfg = ParticleConfig(
-        mass=cfg_doc["mass"],
-        c=cfg_doc["c"],
-        hbar=cfg_doc["hbar"],
-        delta=cfg_doc["delta"],
-    )
-    grid = np.asarray(doc["grid"], dtype=float)
-    weights = np.asarray(doc["weights"], dtype=float)
-    coeffs = np.empty((4, grid.size), dtype=complex)
-    for i, name in enumerate(LABEL_NAMES):
-        pairs = np.asarray(doc["coeffs"][name], dtype=float)
-        coeffs[i] = pairs[:, 0] + 1j * pairs[:, 1]
-    return Wavepacket(grid=grid, weights=weights, coeffs=coeffs, cfg=cfg)

@@ -15,4 +15,4 @@ def ops():
 
 @pytest.fixture()
 def cfg():
-    return ParticleConfig.natural(0.4)
+    return ParticleConfig(delta=0.4)

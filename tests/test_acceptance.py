@@ -25,7 +25,7 @@ from zbsim.dynamics import (
     tone_amplitudes,
 )
 from zbsim.spectral import beat_envelope, extract_peaks, match_frequencies, periodogram
-from zbsim.spectrum import free_zb_frequency, frequency_set, rest_frame_longitudinal, sweep
+from zbsim.spectrum import free_zb_frequency, frequency_set, momentum_from_velocity
 from zbsim.wavepacket import DEFAULT_MIX, gaussian_packet, single_mode
 from conftest import DELTA_GRID, P_GRID
 
@@ -40,12 +40,12 @@ def report(num: int, description: str, ok: bool) -> None:
 
 @pytest.fixture(scope="module")
 def suite_packet():
-    return single_mode(SUITE_P0, DEFAULT_MIX, ParticleConfig.natural(SUITE_DELTA))
+    return single_mode(SUITE_P0, DEFAULT_MIX, ParticleConfig(delta=SUITE_DELTA))
 
 
 @pytest.fixture(scope="module")
 def suite_freqs():
-    return frequency_set(SUITE_P0, ParticleConfig.natural(SUITE_DELTA))
+    return frequency_set(SUITE_P0, ParticleConfig(delta=SUITE_DELTA))
 
 
 @pytest.fixture(scope="module")
@@ -57,10 +57,10 @@ def test_criterion_01_eigenvalue_oracle_equivalence(ops):
     start = time.perf_counter()
     worst = 0.0
     for delta in DELTA_GRID:
-        cfg = ParticleConfig.natural(float(delta))
+        cfg = ParticleConfig(delta=float(delta))
         for p in P_GRID:
             ana = eigensystem_analytic(float(p), cfg)
-            num = eigensystem_numeric(build_hamiltonian(float(p), cfg, ops), ops, p=float(p))
+            num = eigensystem_numeric(build_hamiltonian(float(p), cfg, ops), ops)
             worst = max(worst, float(np.max(
                 np.abs(ana.energies - num.energies) / np.abs(num.energies)
             )))
@@ -71,7 +71,8 @@ def test_criterion_01_eigenvalue_oracle_equivalence(ops):
 
 
 def test_criterion_02_rest_frame_longitudinal_pair():
-    up, down = rest_frame_longitudinal(0.4)
+    rest = frequency_set(0.0, ParticleConfig(delta=0.4))
+    up, down = rest.omega_zb1, rest.omega_zb3
     ok = abs(up - 2.8) <= 1e-12 and abs(down - 1.2) <= 1e-12
     report(2, f"rest-frame longitudinal tones ({up}, {down}) vs (2.8, 1.2)", ok)
 
@@ -79,7 +80,7 @@ def test_criterion_02_rest_frame_longitudinal_pair():
 def test_criterion_03_orbital_beat_is_twice_larmor():
     worst = 0.0
     for delta in DELTA_GRID:
-        cfg = ParticleConfig.natural(float(delta))
+        cfg = ParticleConfig(delta=float(delta))
         for p in P_GRID:
             fs = frequency_set(float(p), cfg)
             denom = max(abs(2.0 * fs.omega_L), 1e-300)
@@ -90,8 +91,8 @@ def test_criterion_03_orbital_beat_is_twice_larmor():
 def test_criterion_04_forbidden_band():
     ok = True
     for delta in DELTA_GRID:
-        cfg = ParticleConfig.natural(float(delta))
-        band = 2.0 * cfg.mc2 / cfg.hbar
+        cfg = ParticleConfig(delta=float(delta))
+        band = 2.0  # 2*m*c^2/hbar
         for p in P_GRID:
             fs = frequency_set(float(p), cfg)
             if p > 0:
@@ -108,18 +109,16 @@ def test_criterion_04_forbidden_band():
 
 
 def test_criterion_05_motional_shifts():
-    rows = sweep(np.linspace(0.0, 0.99, 100), delta=SUITE_DELTA)
+    p = momentum_from_velocity(np.linspace(0.0, 0.99, 100))
+    fs = frequency_set(p, ParticleConfig(delta=SUITE_DELTA))
     blue = {
-        "omega_zb": np.array([free_zb_frequency(r.p) for r in rows]),
-        "omega_zb1": np.array([r.freqs.omega_zb1 for r in rows]),
-        "omega_zb2": np.array([r.freqs.omega_zb2 for r in rows]),
-        "omega_zb3": np.array([r.freqs.omega_zb3 for r in rows]),
-        "omega_sb": np.array([r.freqs.omega_sb for r in rows]),
+        "omega_zb": free_zb_frequency(p),
+        "omega_zb1": fs.omega_zb1,
+        "omega_zb2": fs.omega_zb2,
+        "omega_zb3": fs.omega_zb3,
+        "omega_sb": fs.omega_sb,
     }
-    red = {
-        "omega_L": np.array([r.freqs.omega_L for r in rows]),
-        "omega_ob1": np.array([r.freqs.omega_ob1 for r in rows]),
-    }
+    red = {"omega_L": fs.omega_L, "omega_ob1": fs.omega_ob1}
     ok = all(np.all(np.diff(vals) > 0) for vals in blue.values())
     ok = ok and all(np.all(np.diff(vals) < 0) for vals in red.values())
     report(5, "blue shift of ZB/beat tones, red shift of Larmor/orbital beat, "
@@ -169,9 +168,9 @@ def test_criterion_08_transverse_channel_pipeline(suite_packet, suite_freqs, sui
         match = match_frequencies(peaks, expected, tol_rel=1e-3)
         ok = ok and match.clean and match.complete
     # Larmor-tone nulls: in the rest frame and without spin splitting
-    cfg = ParticleConfig.natural(SUITE_DELTA)
+    cfg = ParticleConfig(delta=SUITE_DELTA)
     rest = single_mode(0.0, DEFAULT_MIX, cfg)
-    nosplit = single_mode(SUITE_P0, DEFAULT_MIX, ParticleConfig.natural(0.0))
+    nosplit = single_mode(SUITE_P0, DEFAULT_MIX, ParticleConfig(delta=0.0))
     residual = 0.0
     for packet in (rest, nosplit):
         for tag in ("r_y", "r_z"):
@@ -182,7 +181,7 @@ def test_criterion_08_transverse_channel_pipeline(suite_packet, suite_freqs, sui
 
 
 def test_criterion_09_conservation_suite(ops, suite_grid):
-    cfg = ParticleConfig.natural(SUITE_DELTA)
+    cfg = ParticleConfig(delta=SUITE_DELTA)
     packets = [
         single_mode(SUITE_P0, DEFAULT_MIX, cfg),
         gaussian_packet(SUITE_P0, 0.05, DEFAULT_MIX, 32, cfg),
@@ -190,7 +189,7 @@ def test_criterion_09_conservation_suite(ops, suite_grid):
     ]
     worst = 0.0
     for wp in packets:
-        eigs = [eigensystem_numeric(build_hamiltonian(p, wp.cfg, ops), ops, p=p)
+        eigs = [eigensystem_numeric(build_hamiltonian(p, wp.cfg, ops), ops)
                 for p in wp.grid]
         hams = [build_hamiltonian(p, wp.cfg, ops) for p in wp.grid]
         traces = {"norm": [], "energy": [], "spin_x": [], "pops": []}
@@ -198,8 +197,8 @@ def test_criterion_09_conservation_suite(ops, suite_grid):
             norm = energy = helicity = 0.0
             pops = np.zeros(4)
             for k, eig in enumerate(eigs):
-                # eigenphase evolution psi_k(t) = V_k (e^{-i E_k t / hbar} * c_k)
-                psi = eig.spinors @ (np.exp(-1j * eig.energies * t / wp.cfg.hbar) * wp.coeffs[:, k])
+                # eigenphase evolution psi_k(t) = V_k (e^{-i E_k t} * c_k)
+                psi = eig.spinors @ (np.exp(-1j * eig.energies * t) * wp.coeffs[:, k])
                 w = wp.weights[k]
                 norm += w * float(np.real(psi.conj() @ psi))
                 energy += w * float(np.real(psi.conj() @ hams[k] @ psi))
@@ -228,18 +227,18 @@ def test_criterion_10_kinematic_consistency(suite_packet, suite_freqs):
     r = analytic_series(suite_packet, "r_x", t).values
     v = analytic_series(suite_packet, "alpha_x", t).values
     deriv = (r[:-4] - 8.0 * r[1:-3] + 8.0 * r[3:-1] - r[4:]) / (12.0 * dt)
-    err = float(np.max(np.abs(deriv - suite_packet.cfg.c * v[2:-2])))
-    report(10, f"d<r_x>/dt = c<alpha_x> at dt = T1/200 (max err {err:.1e})", err <= 1e-6)
+    err = float(np.max(np.abs(deriv - v[2:-2])))
+    report(10, f"d<r_x>/dt = <alpha_x> at dt = T1/200 (max err {err:.1e})", err <= 1e-6)
 
 
 def test_criterion_11_analytic_vs_oracle_series():
-    cfg = ParticleConfig.natural(SUITE_DELTA)
+    cfg = ParticleConfig(delta=SUITE_DELTA)
     packets = [
         single_mode(SUITE_P0, DEFAULT_MIX, cfg),
         single_mode(0.0, DEFAULT_MIX, cfg),
-        single_mode(SUITE_P0, DEFAULT_MIX, ParticleConfig.natural(0.0)),
+        single_mode(SUITE_P0, DEFAULT_MIX, ParticleConfig(delta=0.0)),
         gaussian_packet(SUITE_P0, 0.05, DEFAULT_MIX, 32, cfg),
-        single_mode(SUITE_P0, DEFAULT_MIX, ParticleConfig.natural(-SUITE_DELTA)),
+        single_mode(SUITE_P0, DEFAULT_MIX, ParticleConfig(delta=-SUITE_DELTA)),
         single_mode(-SUITE_P0, DEFAULT_MIX, cfg),
     ]
     worst = 0.0

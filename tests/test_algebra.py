@@ -64,9 +64,8 @@ def test_helicity_commutes_with_model_terms(ops):
 
 
 def test_spin_is_half_sigma(ops):
-    assert np.array_equal(ops.spin_x, 0.5 * ops.sigma_x_big)
-    ops2 = build_operators(hbar=3.0)
-    assert np.array_equal(ops2.spin_y, 1.5 * ops2.sigma_y_big)
+    for axis in "xyz":
+        assert np.array_equal(ops.spin(axis), 0.5 * getattr(ops, f"sigma_{axis}_big"))
 
 
 def test_operator_arrays_read_only(ops):
@@ -76,60 +75,45 @@ def test_operator_arrays_read_only(ops):
 
 class TestParticleConfig:
     def test_natural_defaults(self):
-        cfg = ParticleConfig.natural(0.4)
-        assert (cfg.mass, cfg.c, cfg.hbar, cfg.delta) == (1.0, 1.0, 1.0, 0.4)
-        assert cfg.rest_energy_up == pytest.approx(1.4)
-        assert cfg.rest_energy_down == pytest.approx(0.6)
-
-    @pytest.mark.parametrize("bad", [{"mass": 0.0}, {"mass": -1.0}, {"c": 0.0}, {"hbar": -2.0}])
-    def test_positive_constants_required(self, bad):
-        with pytest.raises(ConfigError):
-            ParticleConfig(**bad)
+        assert ParticleConfig().delta == 0.0
+        cfg = ParticleConfig(delta=0.4)
+        assert cfg.rest_energy(+1) == pytest.approx(1.4)
+        assert cfg.rest_energy(-1) == pytest.approx(0.6)
 
     @pytest.mark.parametrize("delta", [1.0, 1.5, -1.0])
     def test_field_too_strong_rejected(self, delta):
         with pytest.raises(ConfigError):
             ParticleConfig(delta=delta)
 
-    def test_delta_derived_from_dipoles(self):
-        cfg = ParticleConfig(d=0.3, E_field=2.0, mu=0.5, B_field=0.4)
-        assert cfg.delta == pytest.approx(0.3 * 2.0 - 0.5 * 0.4)
-
-    def test_delta_consistency_enforced(self):
-        with pytest.raises(ConfigError):
-            ParticleConfig(delta=0.1, d=0.3, E_field=2.0)
-        # agreeing values pass
-        ParticleConfig(delta=0.6, d=0.3, E_field=2.0)
-
 
 class TestHamiltonian:
     def test_rest_free_particle_is_beta(self, ops):
-        cfg = ParticleConfig.natural(0.0)
+        cfg = ParticleConfig(delta=0.0)
         H = build_hamiltonian(0.0, cfg, ops)
         assert np.array_equal(H, ops.beta)
 
     def test_split_spectrum_values(self, ops):
-        H = build_hamiltonian(0.5, ParticleConfig.natural(0.4), ops)
+        H = build_hamiltonian(0.5, ParticleConfig(delta=0.4), ops)
         evals = np.linalg.eigvalsh(H)
         expected = sorted([-math.sqrt(2.21), -math.sqrt(0.61), math.sqrt(0.61), math.sqrt(2.21)])
         assert np.allclose(evals, expected, rtol=1e-12)
 
     def test_free_particle_double_degeneracy(self, ops):
-        H = build_hamiltonian(1.0, ParticleConfig.natural(0.0), ops)
+        H = build_hamiltonian(1.0, ParticleConfig(delta=0.0), ops)
         evals = np.linalg.eigvalsh(H)
         assert np.allclose(evals, [-math.sqrt(2)] * 2 + [math.sqrt(2)] * 2, rtol=1e-12)
 
     @pytest.mark.parametrize("p", [0.0, 0.3, 2.0])
     @pytest.mark.parametrize("delta", [0.0, 0.4, 0.85])
     def test_hermitian_and_commutes_with_helicity(self, ops, p, delta):
-        H = build_hamiltonian(p, ParticleConfig.natural(delta), ops)
+        H = build_hamiltonian(p, ParticleConfig(delta=delta), ops)
         assert np.max(np.abs(H - H.conj().T)) <= 1e-14
         assert np.max(np.abs(H @ ops.sigma_x_big - ops.sigma_x_big @ H)) <= 1e-14
 
     def test_block_diagonal_in_helicity_basis(self, ops):
         # Sigma_x eigenbasis orders eigenvalues (-1, -1, +1, +1)
         _, basis = np.linalg.eigh(ops.sigma_x_big)
-        H = build_hamiltonian(1.7, ParticleConfig.natural(0.3), ops)
+        H = build_hamiltonian(1.7, ParticleConfig(delta=0.3), ops)
         Hb = basis.conj().T @ H @ basis
         assert np.max(np.abs(Hb[:2, 2:])) <= 1e-14
         assert np.max(np.abs(Hb[2:, :2])) <= 1e-14
@@ -149,9 +133,9 @@ class TestEigensystems:
     @pytest.mark.parametrize("p", [0.0, 0.5, 3.7])
     @pytest.mark.parametrize("delta", [0.0, 0.4, 0.89])
     def test_numeric_invariants(self, ops, p, delta):
-        cfg = ParticleConfig.natural(delta)
+        cfg = ParticleConfig(delta=delta)
         H = build_hamiltonian(p, cfg, ops)
-        eig = eigensystem_numeric(H, ops, p=p)
+        eig = eigensystem_numeric(H, ops)
         gram = eig.spinors.conj().T @ eig.spinors
         assert np.max(np.abs(gram - I4)) <= 1e-12
         completeness = eig.spinors @ eig.spinors.conj().T
@@ -166,9 +150,9 @@ class TestEigensystems:
             assert np.sign(e) == l
 
     def test_phase_convention_first_component_real_positive(self, ops):
-        cfg = ParticleConfig.natural(0.4)
+        cfg = ParticleConfig(delta=0.4)
         for builder in (
-            lambda: eigensystem_numeric(build_hamiltonian(0.8, cfg, ops), ops, p=0.8),
+            lambda: eigensystem_numeric(build_hamiltonian(0.8, cfg, ops), ops),
             lambda: eigensystem_analytic(0.8, cfg),
         ):
             eig = builder()
@@ -179,23 +163,23 @@ class TestEigensystems:
                 assert v[k].real > 0
 
     def test_analytic_rest_energies(self):
-        eig = eigensystem_analytic(0.0, ParticleConfig.natural(0.4))
+        eig = eigensystem_analytic(0.0, ParticleConfig(delta=0.4))
         assert eig.energy(+1, +1) == pytest.approx(1.4, rel=1e-12)
         assert eig.energy(+1, -1) == pytest.approx(0.6, rel=1e-12)
-        free = eigensystem_analytic(0.0, ParticleConfig.natural(0.0))
+        free = eigensystem_analytic(0.0, ParticleConfig(delta=0.0))
         assert np.allclose(np.abs(free.energies), 1.0, rtol=1e-12)
 
     def test_analytic_split_value(self):
-        eig = eigensystem_analytic(0.5, ParticleConfig.natural(0.4))
+        eig = eigensystem_analytic(0.5, ParticleConfig(delta=0.4))
         assert eig.energy(+1, +1) == pytest.approx(math.sqrt(2.21), rel=1e-12)
 
     def test_analytic_matches_numeric_on_grid(self, ops):
         worst_e, worst_o = 0.0, 1.0
         for delta in DELTA_GRID[::3]:
-            cfg = ParticleConfig.natural(float(delta))
+            cfg = ParticleConfig(delta=float(delta))
             for p in P_GRID[::5]:
                 ana = eigensystem_analytic(float(p), cfg)
-                num = eigensystem_numeric(build_hamiltonian(float(p), cfg, ops), ops, p=float(p))
+                num = eigensystem_numeric(build_hamiltonian(float(p), cfg, ops), ops)
                 rel = np.max(np.abs(ana.energies - num.energies) / np.abs(num.energies))
                 worst_e = max(worst_e, rel)
                 for i in range(4):
@@ -205,26 +189,28 @@ class TestEigensystems:
 
     def test_degenerate_labels_resolved(self, ops):
         # delta = 0: doubly degenerate branches still get sharp helicity labels
-        cfg = ParticleConfig.natural(0.0)
-        eig = eigensystem_numeric(build_hamiltonian(1.0, cfg, ops), ops, p=1.0)
+        cfg = ParticleConfig(delta=0.0)
+        eig = eigensystem_numeric(build_hamiltonian(1.0, cfg, ops), ops)
         for l, s in BRANCH_SPIN_LABELS:
             v = eig.spinor(l, s)
             hel = float(np.real(v.conj() @ ops.sigma_x_big @ v))
             assert abs(hel - s) <= 1e-10
 
     def test_rest_energies_recovered(self, ops):
-        cfg = ParticleConfig.natural(0.4)
-        eig = eigensystem_numeric(build_hamiltonian(1.3, cfg, ops), ops, p=1.3)
-        assert eig.rest_energy_up == pytest.approx(1.4, rel=1e-10)
-        assert eig.rest_energy_down == pytest.approx(0.6, rel=1e-10)
+        # sqrt(E^2 - p^2) of the positive-branch levels gives the rest energies 1 + s*delta
+        p, cfg = 1.3, ParticleConfig(delta=0.4)
+        eig = eigensystem_numeric(build_hamiltonian(p, cfg, ops), ops)
+        for s in (+1, -1):
+            rest = math.sqrt(eig.energy(+1, s) ** 2 - p**2)
+            assert rest == pytest.approx(cfg.rest_energy(s), rel=1e-10)
 
     @pytest.mark.parametrize("delta", [1e-13, 1e-11, 1e-9, 1e-7])
     def test_near_degenerate_clusters_keep_both_invariants(self, ops, delta):
         # tiny splittings must not trade eigen-residual for label sharpness
-        cfg = ParticleConfig.natural(delta)
+        cfg = ParticleConfig(delta=delta)
         for p in (0.0, 0.5, 3.0):
             H = build_hamiltonian(p, cfg, ops)
-            eig = eigensystem_numeric(H, ops, p=p)
+            eig = eigensystem_numeric(H, ops)
             scale = np.linalg.norm(H)
             for l, s in BRANCH_SPIN_LABELS:
                 v = eig.spinor(l, s)
@@ -234,15 +220,15 @@ class TestEigensystems:
                 assert abs(hel - s) <= 1e-10
 
     def test_negative_splitting_swaps_rest_energies(self, ops):
-        cfg = ParticleConfig.natural(-0.4)
-        eig = eigensystem_numeric(build_hamiltonian(0.0, cfg, ops), ops, p=0.0)
+        cfg = ParticleConfig(delta=-0.4)
+        eig = eigensystem_numeric(build_hamiltonian(0.0, cfg, ops), ops)
         assert eig.energy(+1, +1) == pytest.approx(0.6, rel=1e-12)
         assert eig.energy(+1, -1) == pytest.approx(1.4, rel=1e-12)
 
 
 class TestMatrixElement:
     def test_helicity_eigenvalue_relation(self, ops):
-        eig = eigensystem_analytic(0.7, ParticleConfig.natural(0.4))
+        eig = eigensystem_analytic(0.7, ParticleConfig(delta=0.4))
         for l, s in BRANCH_SPIN_LABELS:
             v = eig.spinor(l, s)
             assert matrix_element(ops.sigma_x_big, v, v) == pytest.approx(s, abs=1e-12)
@@ -265,14 +251,14 @@ class TestMatrixElement:
             matrix_element(np.eye(2), np.ones(4), np.ones(4))
 
     def test_transverse_element_vanishes_at_rest(self, ops):
-        eig = eigensystem_analytic(0.0, ParticleConfig.natural(0.4))
+        eig = eigensystem_analytic(0.0, ParticleConfig(delta=0.4))
         val = matrix_element(ops.alpha_y, eig.spinor(-1, -1), eig.spinor(-1, +1))
         assert abs(val) <= 1e-14
 
     def test_transverse_element_matches_closed_form(self, ops):
-        # negative-branch Larmor element against c*p*(hbar*w_L - 2*delta)/zeta
+        # negative-branch Larmor element against p*(w_L - 2*delta)/zeta
         p, delta = 0.5, 0.4
-        cfg = ParticleConfig.natural(delta)
+        cfg = ParticleConfig(delta=delta)
         eig = eigensystem_analytic(p, cfg)
         e_pu, e_pd = math.sqrt(2.21), math.sqrt(0.61)
         omega_l = e_pu - e_pd
@@ -288,9 +274,9 @@ class TestMatrixElement:
     delta=st.floats(min_value=0.0, max_value=0.89),
 )
 def test_energies_match_closed_form(p, delta):
-    cfg = ParticleConfig.natural(delta)
+    cfg = ParticleConfig(delta=delta)
     ops = build_operators()
-    num = eigensystem_numeric(build_hamiltonian(p, cfg, ops), ops, p=p)
+    num = eigensystem_numeric(build_hamiltonian(p, cfg, ops), ops)
     for l, s in BRANCH_SPIN_LABELS:
         expected = l * math.hypot(p, 1.0 + s * delta)
         assert num.energy(l, s) == pytest.approx(expected, rel=1e-12)

@@ -75,6 +75,24 @@ class TestFrequencies:
         _, rows = parse_csv(out)
         assert float(rows[0]["omega_L"]) == pytest.approx(0.8)
 
+    def test_field_group_prints_what_delta_prints(self, capsys):
+        # the CLI alone derives delta = d*E - mu*B, in natural units and in SI (joules)
+        si = ("--units", "si", "--mass", "1.6749e-27")
+        cases = [
+            ((), ("--mu", "0.3", "--bfield", "0.5", "--dmom", "0.8", "--efield", "0.7"),
+             0.8 * 0.7 - 0.3 * 0.5),
+            ((), ("--mu", "0.25", "--bfield", "1.5"), 0.0 * 0.0 - 0.25 * 1.5),
+            (si, ("--mu=-9.66e-27", "--bfield", "1e12", "--dmom", "1e-30", "--efield", "3e13"),
+             1e-30 * 3e13 - -9.66e-27 * 1e12),
+        ]
+        commands = [("frequencies", "--p", "0.7"), ("frequencies", "--v", "0.3", "--format", "json"),
+                    ("sweep", "--steps", "5"), ("evolve", "--samples", "4", "--observable", "S_y,r_x")]
+        for units, fields, delta in cases:
+            for command in commands:
+                code, by_fields = run(capsys, *command, *units, *fields)
+                assert code == EXIT_OK
+                assert run(capsys, *command, *units, f"--delta={delta!r}") == (EXIT_OK, by_fields)
+
     def test_si_units_scale_output(self, capsys):
         mass = 1.6749e-27  # kg
         mc2 = mass * SI_C**2
@@ -191,7 +209,7 @@ class TestEvolve:
         lines = out.split("\n")
         assert lines[0] == "t,value,observable,p0,delta" and lines[-1] == ""
         assert [line.split(",")[0] for line in lines[1:5]] == ["0", "0.5", "1", "1.5"]
-        wp = single_mode(float(p0), DEFAULT_MIX, ParticleConfig.natural(0.4))
+        wp = single_mode(float(p0), DEFAULT_MIX, ParticleConfig(delta=0.4))
         table = expectation_table(wp, np.linspace(0.0, 2.0, 4, endpoint=False))
         assert lines[1:-1] == [
             f"{t:.12g},{x:.12g},{tag},0.123456789012,0.4"

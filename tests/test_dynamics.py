@@ -42,15 +42,14 @@ def single_tone(p, mix, tag, label, cfg):
 
 
 def larmor_closed_magnitudes(p, cfg):
-    """|<l,up|alpha_y,z|l,down>| in closed form: |c*p*(hbar*omega_L + l*2*delta)| / (eta, zeta)."""
+    """|<l,up|alpha_y,z|l,down>| in closed form: |p*(omega_L + l*2*delta)| / (eta, zeta)."""
     e_up, e_down = branch_energy(p, cfg, +1), branch_energy(p, cfg, -1)
-    r_up, r_down = cfg.rest_energy_up, cfg.rest_energy_down
+    r_up, r_down = cfg.rest_energy(+1), cfg.rest_energy(-1)
     eta = 2.0 * math.sqrt(e_up * e_down * (e_up + r_up) * (e_down + r_down))
     zeta = 2.0 * math.sqrt(e_up * e_down * (e_up - r_up) * (e_down - r_down))
-    hw = e_up - e_down
-    cp = cfg.c * p
-    return {+1: abs(cp * (hw + 2.0 * cfg.delta)) / eta,
-            -1: abs(cp * (hw - 2.0 * cfg.delta)) / zeta}
+    omega_l = e_up - e_down
+    return {+1: abs(p * (omega_l + 2.0 * cfg.delta)) / eta,
+            -1: abs(p * (omega_l - 2.0 * cfg.delta)) / zeta}
 
 
 @pytest.fixture()
@@ -72,8 +71,8 @@ def suite_packets(cfg):
         single_mode(0.5, POS_BRANCH, cfg),      # positive branch only
         single_mode(0.5, (RT2, 0, 0, RT2), cfg),      # single spin-ZB cross term
         gaussian_packet(0.5, 0.05, DEFAULT_MIX, 32, cfg),
-        single_mode(0.5, DEFAULT_MIX, ParticleConfig.natural(0.0)),
-        single_mode(0.5, DEFAULT_MIX, ParticleConfig.natural(-0.4)),
+        single_mode(0.5, DEFAULT_MIX, ParticleConfig(delta=0.0)),
+        single_mode(0.5, DEFAULT_MIX, ParticleConfig(delta=-0.4)),
         single_mode(-0.5, DEFAULT_MIX, cfg),
     ]
 
@@ -102,14 +101,14 @@ class TestDefaultTimeGrid:
         assert t[-1] == pytest.approx(t_max * (1 - 1 / 4096), rel=1e-12)
 
     def test_degenerate_uses_free_tone(self):
-        fs = frequency_set(0.5, ParticleConfig.natural(0.0))
+        fs = frequency_set(0.5, ParticleConfig(delta=0.0))
         t = default_time_grid(fs)
         assert t[-1] < 200.0  # slowest tone is the free ZB line, not omega_L = 0
 
 
 class TestEvolveMode:
     def test_eigenstate_is_stationary(self, cfg, ops):
-        eig = eigensystem_numeric(build_hamiltonian(0.5, cfg, ops), ops, p=0.5)
+        eig = eigensystem_numeric(build_hamiltonian(0.5, cfg, ops), ops)
         c = np.array([1, 0, 0, 0], dtype=complex)
         start, out = evolve(eig, c, 0.0), evolve(eig, c, 0.37)
         overlap = abs(np.vdot(out, start))
@@ -117,7 +116,7 @@ class TestEvolveMode:
         assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_step_is_identity(self, cfg, ops):
-        eig = eigensystem_numeric(build_hamiltonian(0.5, cfg, ops), ops, p=0.5)
+        eig = eigensystem_numeric(build_hamiltonian(0.5, cfg, ops), ops)
         c = single_mode(0.5, DEFAULT_MIX, cfg).coeffs[:, 0]
         assert np.max(np.abs(evolve(eig, c, 0.0) - eig.spinors @ c)) <= 1e-15
 
@@ -125,7 +124,7 @@ class TestEvolveMode:
         # stepping psi by projecting onto the eigenbasis each step and
         # contracting reproduces the oracle table
         wp = single_mode(0.5, DEFAULT_MIX, cfg)
-        eig = eigensystem_numeric(build_hamiltonian(0.5, cfg, ops), ops, p=0.5)
+        eig = eigensystem_numeric(build_hamiltonian(0.5, cfg, ops), ops)
         t = np.linspace(0.0, 8.0, 33)
         series = expectation_table(wp, t)["alpha_x"]
         psi = evolve(eig, wp.coeffs[:, 0], 0.0)
@@ -169,7 +168,7 @@ class TestConservation:
         t_final = 20.0 * 2.0 * np.pi / fs.omega_L
         for wp in suite_packets(cfg):
             eigs = [
-                eigensystem_numeric(build_hamiltonian(p, wp.cfg, ops), ops, p=p)
+                eigensystem_numeric(build_hamiltonian(p, wp.cfg, ops), ops)
                 for p in wp.grid
             ]
             norms, energies, sx = [], [], []
@@ -253,7 +252,7 @@ class TestExpectationTable:
     @pytest.mark.parametrize("delta", [0.4, 0.0, -0.4])
     def test_positions_start_at_exact_zero(self, delta):
         # at delta = 0, omega_L = 0 and the Larmor pairs take the drift path
-        cfg = ParticleConfig.natural(delta)
+        cfg = ParticleConfig(delta=delta)
         t = default_time_grid(frequency_set(0.5, cfg), samples=300)
         for wp in (single_mode(0.5, DEFAULT_MIX, cfg), gaussian_packet(0.5, 0.05, DEFAULT_MIX, 16, cfg)):
             table = expectation_table(wp, t)
@@ -264,7 +263,7 @@ class TestExpectationTable:
         wp = gaussian_packet(0.5, 0.05, DEFAULT_MIX, 16, cfg)
         t = default_time_grid(frequency_set(0.5, cfg), samples=300)
         table = expectation_table(wp, t)
-        eigs = [eigensystem_numeric(build_hamiltonian(p, cfg, ops), ops, p=p) for p in wp.grid]
+        eigs = [eigensystem_numeric(build_hamiltonian(p, cfg, ops), ops) for p in wp.grid]
         for tag in OBSERVABLE_TAGS[:6]:
             kind, axis = tag.split("_")
             op = ops.spin(axis) if kind == "S" else ops.alpha(axis)
@@ -344,7 +343,7 @@ class TestLongitudinalSeries:
         r = analytic_series(wp, "r_x", t).values
         v = analytic_series(wp, "alpha_x", t).values
         deriv = (r[:-4] - 8.0 * r[1:-3] + 8.0 * r[3:-1] - r[4:]) / (12.0 * dt)
-        assert np.max(np.abs(deriv - wp.cfg.c * v[2:-2])) <= 1e-6
+        assert np.max(np.abs(deriv - v[2:-2])) <= 1e-6
 
     def test_position_equals_trapezoid_integral_of_velocity(self, cfg, t_grid):
         # trapezoid error at the default sampling is O(dt^2) ~ 4e-4
@@ -354,14 +353,14 @@ class TestLongitudinalSeries:
         steps = np.diff(t_grid)
         integral = np.concatenate(
             [[0.0], np.cumsum(0.5 * (v[1:] + v[:-1]) * steps)]
-        ) * wp.cfg.c
+        )
         assert np.max(np.abs(integral - r)) <= 1e-3
         fine = np.linspace(t_grid[0], t_grid[-1] / 4.0, t_grid.size, endpoint=False)
         r2 = analytic_series(wp, "r_x", fine).values
         v2 = analytic_series(wp, "alpha_x", fine).values
         integral2 = np.concatenate(
             [[0.0], np.cumsum(0.5 * (v2[1:] + v2[:-1]) * np.diff(fine))]
-        ) * wp.cfg.c
+        )
         assert np.max(np.abs(integral2 - r2)) <= 1e-4
 
     def test_position_starts_at_r0(self, cfg, t_grid):
@@ -373,7 +372,7 @@ class TestLongitudinalSeries:
         wp = single_mode(0.5, POS_BRANCH, cfg)
         r = analytic_series(wp, "r_x", t_grid)
         v = analytic_series(wp, "alpha_x", t_grid).values[0]
-        assert np.max(np.abs(r.values - wp.cfg.c * v * t_grid)) <= 1e-12
+        assert np.max(np.abs(r.values - v * t_grid)) <= 1e-12
 
     def test_tone_amplitude_ratio_follows_inverse_frequency(self, cfg):
         # single-tone packets isolate each line; amplitudes via Fourier projection
@@ -401,7 +400,7 @@ class TestTransversePosition:
             assert abs(tone_amplitudes(wp, tag)["omega_L"][1]) <= 1e-12
 
     def test_larmor_tone_null_without_splitting(self):
-        wp = single_mode(0.5, DEFAULT_MIX, ParticleConfig.natural(0.0))
+        wp = single_mode(0.5, DEFAULT_MIX, ParticleConfig(delta=0.0))
         for tag in ("r_y", "r_z"):
             assert abs(tone_amplitudes(wp, tag)["omega_L"][1]) <= 1e-12
 
@@ -432,7 +431,7 @@ class TestAmplitudeSet:
 
     def test_closed_form_cross_check(self):
         for p, delta in ((0.5, 0.4), (1.3, 0.7), (3.0, -0.25)):
-            cfg = ParticleConfig.natural(delta)
+            cfg = ParticleConfig(delta=delta)
             closed = larmor_closed_magnitudes(p, cfg)
             for tag in ("alpha_y", "alpha_z"):
                 for l, mix in ((+1, POS_BRANCH), (-1, NEG_BRANCH)):
@@ -457,7 +456,7 @@ class TestAmplitudeSet:
                 assert abs(single_tone(0.0, mix, tag, "omega_L", cfg)) <= 1e-14
 
     def test_larmor_elements_vanish_without_splitting(self):
-        cfg = ParticleConfig.natural(0.0)
+        cfg = ParticleConfig(delta=0.0)
         for tag in ("alpha_y", "alpha_z"):
             for mix in (POS_BRANCH, NEG_BRANCH):
                 assert abs(single_tone(0.5, mix, tag, "omega_L", cfg)) <= 1e-14
@@ -489,7 +488,7 @@ class TestToneAmplitudes:
 
     def test_negative_splitting_folds_larmor_line(self):
         # omega_L is a signed level difference; the spectral line sits at |omega_L|
-        cfg = ParticleConfig.natural(-0.4)
+        cfg = ParticleConfig(delta=-0.4)
         wp = single_mode(0.5, DEFAULT_MIX, cfg)
         fs = frequency_set(0.5, cfg)
         assert fs.omega_L < 0

@@ -285,7 +285,7 @@ class TestDynamicsPipeline:
     def test_degenerate_run_single_free_peak(self):
         from zbsim.algebra import ParticleConfig
 
-        cfg0 = ParticleConfig.natural(0.0)
+        cfg0 = ParticleConfig(delta=0.0)
         fs = frequency_set(0.5, cfg0)
         wp = single_mode(0.5, DEFAULT_MIX, cfg0)
         t = default_time_grid(fs)

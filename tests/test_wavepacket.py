@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,8 +10,6 @@ from zbsim.wavepacket import (
     EQUAL_MIX,
     Wavepacket,
     gaussian_packet,
-    packet_from_dict,
-    packet_to_dict,
     single_mode,
 )
 
@@ -67,7 +63,7 @@ class TestGaussianPacket:
 
 class TestQuadratureConvergence:
     def test_refining_modes_changes_little(self):
-        cfg = ParticleConfig.natural(0.4)
+        cfg = ParticleConfig(delta=0.4)
         t_probe = np.array([0.0, 1.7])
         results = {}
         for n in (64, 128):
@@ -85,7 +81,7 @@ class TestWavepacketValidation:
                 grid=np.array([0.5]),
                 weights=np.array([1.0]),
                 coeffs=np.full((4, 1), 0.5 + 0j) * 1.01,
-                cfg=ParticleConfig.natural(0.4),
+                cfg=ParticleConfig(delta=0.4),
             )
 
     def test_monotone_grid_gate(self):
@@ -96,7 +92,7 @@ class TestWavepacketValidation:
                 grid=np.array([0.5, 0.4]),
                 weights=np.array([1.0, 1.0]),
                 coeffs=c,
-                cfg=ParticleConfig.natural(0.4),
+                cfg=ParticleConfig(delta=0.4),
             )
 
     def test_positive_weights_gate(self):
@@ -107,7 +103,7 @@ class TestWavepacketValidation:
                 grid=np.array([0.4, 0.5]),
                 weights=np.array([1.0, -1.0]),
                 coeffs=c,
-                cfg=ParticleConfig.natural(0.4),
+                cfg=ParticleConfig(delta=0.4),
             )
 
     def test_arrays_frozen(self):
@@ -123,39 +119,6 @@ class TestWavepacketValidation:
         assert set(occupancy) == {"+up", "+down", "-up", "-down"}
         assert sum(occupancy.values()) == pytest.approx(1.0, abs=1e-10)
         assert wp.mean_momentum() == pytest.approx(0.5, abs=1e-6)
-
-
-class TestSerialization:
-    def test_round_trip_exact(self):
-        wp = gaussian_packet(0.5, 0.05, DEFAULT_MIX, 16, ParticleConfig.natural(0.4))
-        doc = packet_to_dict(wp)
-        json.dumps(doc)  # must be JSON-ready
-        back = packet_from_dict(doc)
-        assert np.array_equal(back.grid, wp.grid)
-        assert np.array_equal(back.weights, wp.weights)
-        assert np.array_equal(back.coeffs, wp.coeffs)
-        assert back.cfg.delta == wp.cfg.delta
-
-    def test_coeffs_are_re_im_pairs(self):
-        wp = single_mode(0.5, DEFAULT_MIX)
-        doc = packet_to_dict(wp)
-        assert doc["coeffs"]["+down"][0] == [0.0, 0.5]
-
-    def test_unit_system_key_ignored(self):
-        # documents written with a "unit_system" config key still load
-        wp = single_mode(0.5, DEFAULT_MIX, ParticleConfig.natural(0.4))
-        doc = packet_to_dict(wp)
-        assert "unit_system" not in doc["config"]
-        doc["config"]["unit_system"] = "natural"
-        back = packet_from_dict(doc)
-        assert back.cfg == wp.cfg
-        assert np.array_equal(back.coeffs, wp.coeffs)
-
-    def test_tampered_document_rejected(self):
-        doc = packet_to_dict(single_mode(0.5, DEFAULT_MIX))
-        doc["weights"] = [2.0]
-        with pytest.raises(ValueError):
-            packet_from_dict(doc)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
