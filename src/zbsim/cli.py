@@ -11,6 +11,7 @@ import argparse
 import cmath
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -53,6 +54,11 @@ class CLIUsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        # a value such as -1e-3 or -.5 is a negative number, not a flag (the rule of Python 3.13)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     def error(self, message: str) -> None:  # keep exit codes under our control
         raise CLIUsageError(message)
 
@@ -85,6 +91,15 @@ def _csv_text(header: tuple[str, ...], rows: Iterable[tuple]) -> Iterator[str]:
 
 def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _json_array_text(items: Iterable) -> Iterator[str]:
+    """`_json_text(list(items))`, one item at a time: the list is never held whole."""
+    opening = "[\n"
+    for item in items:
+        yield opening + "  " + json.dumps(item, indent=2, sort_keys=True).replace("\n", "\n  ")
+        opening = ",\n"
+    yield "[]\n" if opening == "[\n" else "\n]\n"
 
 
 def _parse_velocity(text: str) -> float:
@@ -197,11 +212,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     cols["v"] = grid
     header = _FIGURES.get(args.figure, ("v", "p", "omega_zb") + FrequencySet.FIELDS)
     table = np.column_stack([np.broadcast_to(cols[h], grid.shape) for h in header])
+    rows = (row for start in range(0, len(table), _SWEEP_BLOCK)
+            for row in table[start:start + _SWEEP_BLOCK].tolist())
     if args.format == "json":
-        text = [_json_text([dict(zip(header, row)) for row in table.tolist()])]
+        text = _json_array_text(dict(zip(header, row)) for row in rows)
     else:
-        rows = (row for start in range(0, len(table), _SWEEP_BLOCK)
-                for row in table[start:start + _SWEEP_BLOCK].tolist())
         text = _csv_text(header, rows)
     _write_text(text, args.out)
     return EXIT_OK
@@ -269,8 +284,7 @@ def _verify_expectations(wp) -> dict[str, dict]:
     symmetry cancellations of particular mixes) do not demand phantom peaks.
     """
     plan: dict[str, dict] = {"S_x": {"kind": "constant"}}
-    for tag in ("S_y", "S_z", "alpha_x", "alpha_y", "alpha_z", "r_x", "r_y", "r_z"):
-        amps = tone_amplitudes(wp, tag)
+    for tag, amps in tone_amplitudes(wp).items():
         spectral = {label: (omega, abs(amp)) for label, (omega, amp) in amps.items()
                     if omega > 1e-12}
         top = max((mag for _, mag in spectral.values()), default=0.0)
@@ -342,7 +356,9 @@ def run_verification(args: argparse.Namespace) -> dict:
             if want["beat"] is not None:
                 beat_name, beat_expected = want["beat"]
                 try:
-                    carrier, envelope = beat_envelope(work)
+                    carrier, envelope = beat_envelope(work, peaks)
+                except ResolutionError:
+                    raise  # too few samples for the envelope: a run-parameter problem (exit 1)
                 except ValueError as exc:
                     # expected two-tone structure absent: a verification failure
                     entry["beat"] = {"label": beat_name, "expected": beat_expected,

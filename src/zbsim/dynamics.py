@@ -181,35 +181,35 @@ def expectation_table(wp: Wavepacket, t_grid: np.ndarray) -> dict[str, TimeSerie
     }
 
 
-def _tone_table(wp: Wavepacket, observable_tag: str) -> tuple[float, list[tuple[str, float, complex]]]:
-    """(constant, [(tone label, omega, A)]) of an observable over every mode.
+def _tone_tables(wp: Wavepacket) -> dict[str, tuple[float, list[tuple[str, float, complex]]]]:
+    """{tag: (constant, [(tone label, omega, A)])} of all nine observables over every mode.
 
     The series is constant + sum 2*Re[A*exp(i*omega*t)]. omega is the signed
     closed-form level difference l_bra*E_bra - l_ket*E_ket and A the
     weighted amplitude w*conj(c_bra)*c_ket*<bra|O|ket>. For r_j the table is
-    that of its rate alpha_j, which callers integrate.
+    that of its rate alpha_j, which callers integrate. The packet's
+    eigensystems are built once for all tags.
     """
     cfg = wp.cfg
-    kind, axis = observable_tag.split("_")
-    key = f"alpha_{axis}" if kind == "r" else observable_tag
     ops, eigs = _mode_eigensystems(wp)
-    op = _operator(ops, observable_tag)
-    constant = 0.0
-    terms: list[tuple[str, float, complex]] = []
+    operators = {tag: _operator(ops, tag) for tag in _CROSS_TERMS}
+    constants = dict.fromkeys(_CROSS_TERMS, 0.0)
+    terms: dict[str, list[tuple[str, float, complex]]] = {tag: [] for tag in _CROSS_TERMS}
     for k, eig in enumerate(eigs):
         p, w, c = wp.grid[k], wp.weights[k], wp.coeffs[:, k]
         energy = {s: branch_energy(p, cfg, s) for s in (+1, -1)}
         for i, (l, s) in enumerate(BRANCH_SPIN_LABELS):
-            if key == "S_x":
-                constant += w * abs(c[i]) ** 2 * s / 2.0
-            elif key == "alpha_x":  # group velocity p/E of the level
-                constant += w * abs(c[i]) ** 2 * p / (l * energy[s])
-        for label, (lb, sb), (lk, sk) in _CROSS_TERMS[key]:
-            omega = lb * energy[sb] - lk * energy[sk]
-            bra, ket = label_index(lb, sb), label_index(lk, sk)
-            elem = matrix_element(op, eig.spinors[:, bra], eig.spinors[:, ket])
-            terms.append((label, omega, w * np.conj(c[bra]) * c[ket] * elem))
-    return constant, terms
+            constants["S_x"] += w * abs(c[i]) ** 2 * s / 2.0
+            # group velocity p/E of the level
+            constants["alpha_x"] += w * abs(c[i]) ** 2 * p / (l * energy[s])
+        for tag, cross in _CROSS_TERMS.items():
+            for label, (lb, sb), (lk, sk) in cross:
+                omega = lb * energy[sb] - lk * energy[sk]
+                bra, ket = label_index(lb, sb), label_index(lk, sk)
+                elem = matrix_element(operators[tag], eig.spinors[:, bra], eig.spinors[:, ket])
+                terms[tag].append((label, omega, w * np.conj(c[bra]) * c[ket] * elem))
+    rate = {tag: f"alpha_{tag[2:]}" if tag.startswith("r_") else tag for tag in OBSERVABLE_TAGS}
+    return {tag: (constants[rate[tag]], terms[rate[tag]]) for tag in OBSERVABLE_TAGS}
 
 
 def analytic_series(wp: Wavepacket, observable_tag: str, t_grid: np.ndarray) -> TimeSeries:
@@ -221,7 +221,7 @@ def analytic_series(wp: Wavepacket, observable_tag: str, t_grid: np.ndarray) -> 
     """
     _check_tag(observable_tag)
     t_grid = np.asarray(t_grid, dtype=float)
-    constant, terms = _tone_table(wp, observable_tag)
+    constant, terms = _tone_tables(wp)[observable_tag]
     position = observable_tag.startswith("r_")
     vals = constant * t_grid if position else np.full(t_grid.size, constant)
     for _, omega, amp in terms:
@@ -237,15 +237,17 @@ def analytic_series(wp: Wavepacket, observable_tag: str, t_grid: np.ndarray) -> 
 
 def spin_x_constant(wp: Wavepacket) -> float:
     """Helicity expectation sum_k w_k sum_{l,s} |c|^2 * s/2; a constant of motion."""
-    return _tone_table(wp, "S_x")[0]
+    return _tone_tables(wp)["S_x"][0]
 
 
-def tone_amplitudes(wp: Wavepacket, observable_tag: str) -> dict[str, tuple[float, complex]]:
-    """Coherent complex amplitude of each closed-form tone family of an observable.
+def tone_amplitudes(wp: Wavepacket) -> dict[str, dict[str, tuple[float, complex]]]:
+    """Coherent complex amplitude of each closed-form tone family, per observable.
 
-    Returns {tone label: (omega, A)} such that the series contribution of the
-    family is 2*Re[A*exp(i*omega*t)] (exact for single-mode packets; for
-    multimode packets A aggregates the per-mode amplitudes and omega is the
+    Returns {tag: {tone label: (omega, A)}} for the eight tags that carry
+    tones (S_x is a constant of motion), from one pass over the packet's
+    eigensystems. The series contribution of a family is
+    2*Re[A*exp(i*omega*t)] (exact for single-mode packets; for multimode
+    packets A aggregates the per-mode amplitudes and omega is the
     packet-center tone). A structural zero amplitude means the tone is nulled
     for this packet, e.g. the Larmor tone of r_y at p = 0 or delta = 0.
     Zero-frequency families (omega_L at delta = 0) report the coefficient of
@@ -253,16 +255,18 @@ def tone_amplitudes(wp: Wavepacket, observable_tag: str) -> dict[str, tuple[floa
     with negative frequency (omega_L under delta < 0) are folded onto the
     positive line they produce in a real series.
     """
-    _check_tag(observable_tag)
-    if observable_tag == "S_x":
-        raise ValueError("S_x carries no tones; it is a constant of motion")
     center = frequency_set(wp.mean_momentum(), wp.cfg).tones()
-    position = observable_tag.startswith("r_")
-    out: dict[str, tuple[float, complex]] = {}
-    for label, omega, amp in _tone_table(wp, observable_tag)[1]:
-        if position and omega != 0.0:
-            amp = amp / (1j * omega)
-        if omega < 0.0:  # 2*Re[A e^{i w t}] == 2*Re[conj(A) e^{-i w t}]
-            amp = np.conj(amp)
-        out[label] = (center[label], out.get(label, (0.0, 0j))[1] + amp)
+    out: dict[str, dict[str, tuple[float, complex]]] = {}
+    for tag, (_, terms) in _tone_tables(wp).items():
+        if tag == "S_x":
+            continue
+        position = tag.startswith("r_")
+        amps: dict[str, tuple[float, complex]] = {}
+        for label, omega, amp in terms:
+            if position and omega != 0.0:
+                amp = amp / (1j * omega)
+            if omega < 0.0:  # 2*Re[A e^{i w t}] == 2*Re[conj(A) e^{-i w t}]
+                amp = np.conj(amp)
+            amps[label] = (center[label], amps.get(label, (0.0, 0j))[1] + amp)
+        out[tag] = amps
     return out

@@ -42,6 +42,12 @@ REFINEMENT_FRACTION = 1.0 / 100.0
 _NEWTON_MAX_ITER = 50
 _UPHILL_FRACTION = 0.25
 
+#: Fewest samples a periodogram takes.
+_MIN_SAMPLES = 64
+#: Fewest samples a beat envelope takes: trimming n // 16 from each end of 72
+#: leaves _MIN_SAMPLES for the envelope's own periodogram.
+_BEAT_MIN_SAMPLES = 72
+
 
 class ResolutionError(ValueError):
     """The series is too short to resolve frequencies at the requested tolerance."""
@@ -145,8 +151,8 @@ def periodogram(series: TimeSeries, window: str = "hann") -> Spectrum:
     the mean-square energy of the windowed samples (Parseval).
     """
     n = series.times.size
-    if n < 64:
-        raise ValueError(f"need at least 64 samples, got {n}")
+    if n < _MIN_SAMPLES:
+        raise ValueError(f"need at least {_MIN_SAMPLES} samples, got {n}")
     dt = series.dt
     steps = np.diff(series.times)
     if np.any(np.abs(steps - dt) > 1e-9 * dt):
@@ -289,16 +295,23 @@ def _analytic_signal(x: np.ndarray) -> np.ndarray:
     return np.fft.ifft(spec * gain)
 
 
-def beat_envelope(series: TimeSeries, window: str = "hann") -> tuple[float, float]:
+def beat_envelope(series: TimeSeries, peaks: PeakSet, window: str = "hann") -> tuple[float, float]:
     """(carrier omega, envelope omega) of a two-tone series.
 
-    The envelope is the magnitude of the analytic signal; its dominant
-    spectral line sits at the tone difference |omega_a - omega_b|. Edge
-    samples (1/16 each side) are dropped before the envelope transform to
-    suppress end artifacts of the finite analytic signal.
+    `peaks` are the peaks already extracted from `series` (the caller's
+    `extract_peaks(periodogram(series, window))`); there must be exactly two,
+    and the first (the stronger) is the carrier. The envelope is the magnitude of the
+    analytic signal; its dominant spectral line sits at the tone difference
+    |omega_a - omega_b|. Edge samples (1/16 each side) are dropped before the
+    envelope transform to suppress end artifacts of the finite analytic
+    signal; a series shorter than 72 samples raises ResolutionError.
     """
-    spec = periodogram(series, window)
-    peaks = extract_peaks(spec, max_peaks=8, rel_threshold=0.01)
+    n = series.times.size
+    if n < _BEAT_MIN_SAMPLES:
+        raise ResolutionError(
+            f"beat envelope needs at least {_BEAT_MIN_SAMPLES} samples "
+            f"({_MIN_SAMPLES} after trimming 1/16 from each end), got {n}"
+        )
     if len(peaks.peaks) != 2:
         raise ValueError(
             f"beat extraction needs exactly two tones, found {len(peaks.peaks)}"
@@ -306,7 +319,7 @@ def beat_envelope(series: TimeSeries, window: str = "hann") -> tuple[float, floa
     carrier = peaks.peaks[0].omega
     x = series.values - np.mean(series.values)
     env = np.abs(_analytic_signal(x))
-    trim = series.times.size // 16
+    trim = n // 16
     env = env[trim : env.size - trim]
     # re-based timestamps are fine: peak frequencies are translation-invariant
     env_series = TimeSeries(

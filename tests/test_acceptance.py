@@ -135,7 +135,7 @@ def test_criterion_06_spin_channel_pipeline(suite_packet, suite_freqs, suite_gri
         series = table[tag]
         peaks = extract_peaks(periodogram(series), rel_threshold=0.01)
         match = match_frequencies(peaks, expected, tol_rel=1e-3)
-        _, envelope = beat_envelope(series)
+        _, envelope = beat_envelope(series, peaks)
         beat_err = abs(envelope - suite_freqs.omega_sb) / suite_freqs.omega_sb
         ok = ok and match.clean and match.complete and len(peaks.peaks) == 2
         ok = ok and beat_err <= 1e-2
@@ -151,7 +151,7 @@ def test_criterion_07_longitudinal_channel_pipeline(suite_packet, suite_freqs, s
     series = expectation_table(suite_packet, suite_grid)["alpha_x"]
     peaks = extract_peaks(periodogram(series), rel_threshold=0.01)
     match = match_frequencies(peaks, expected, tol_rel=1e-3)
-    _, envelope = beat_envelope(series)
+    _, envelope = beat_envelope(series, peaks)
     beat_err = abs(envelope - suite_freqs.omega_ob1) / suite_freqs.omega_ob1
     ok = match.clean and match.complete and beat_err <= 1e-2
     report(7, f"alpha_x peaks {{omega_zb1, omega_zb3}} + beat omega_ob1 "
@@ -174,7 +174,7 @@ def test_criterion_08_transverse_channel_pipeline(suite_packet, suite_freqs, sui
     residual = 0.0
     for packet in (rest, nosplit):
         for tag in ("r_y", "r_z"):
-            residual = max(residual, abs(tone_amplitudes(packet, tag)["omega_L"][1]))
+            residual = max(residual, abs(tone_amplitudes(packet)[tag]["omega_L"][1]))
     ok = ok and residual <= 1e-12
     report(8, f"r_y/r_z peaks {{omega_L, omega_zb2}}; Larmor-tone null at p=0 and "
               f"delta=0 (residual {residual:.1e})", ok)

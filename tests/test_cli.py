@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from zbsim import DEFAULT_MIX, ParticleConfig, expectation_table, single_mode
+from zbsim import DEFAULT_MIX, ParticleConfig, cli, dynamics, expectation_table, single_mode, spectral
 from zbsim.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -92,6 +92,21 @@ class TestFrequencies:
                 code, by_fields = run(capsys, *command, *units, *fields)
                 assert code == EXIT_OK
                 assert run(capsys, *command, *units, f"--delta={delta!r}") == (EXIT_OK, by_fields)
+
+    @pytest.mark.parametrize("value", ["-1e-3", "-2.5E-1", "-.25", "-0.3"])
+    def test_negative_values_in_any_notation(self, capsys, value):
+        # a leading minus before a digit or ".digit" is a value, not a flag
+        code, out = run(capsys, "frequencies", "--p", "0.5", "--delta", value)
+        assert code == EXIT_OK
+        assert run(capsys, "frequencies", "--p", "0.5", f"--delta={value}") == (EXIT_OK, out)
+
+    def test_negative_si_moment_in_exponent_notation(self, capsys):
+        si = ("--units", "si", "--mass", "1.6749e-27", "--bfield", "1e12")
+        code, out = run(capsys, "frequencies", "--p", "0.5", *si, "--mu", "-9.66e-27")
+        assert code == EXIT_OK
+        assert run(capsys, "frequencies", "--p", "0.5", *si, "--mu=-9.66e-27") == (EXIT_OK, out)
+        _, rows = parse_csv(out)
+        assert float(rows[0]["delta"]) == pytest.approx(9.66e-15, rel=1e-10)  # joules
 
     def test_si_units_scale_output(self, capsys):
         mass = 1.6749e-27  # kg
@@ -186,6 +201,18 @@ class TestSweep:
         doc = json.loads(out)
         assert len(doc) == 3
         assert set(doc[0]) == {"v", "omega_zb"}
+
+    @pytest.mark.parametrize("argv", [
+        ("--steps", "1"),
+        ("--steps", "5000", "--figure", "fig3"),  # crosses a row block
+        ("--steps", "9", "--units", "si", "--mass", "1.6749e-27"),
+    ])
+    def test_streamed_json_equals_one_dump(self, capsys, argv):
+        code, out = run(capsys, "sweep", "--format", "json", *argv)
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        assert len(doc) == int(argv[1])
+        assert out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 class TestEvolve:
@@ -327,6 +354,15 @@ class TestVerify:
         assert code == EXIT_CONFIG and captured.out == ""
         assert "--modes" in captured.err
 
+    @pytest.mark.parametrize("samples", ["64", "71"])
+    def test_too_few_samples_for_the_beat_envelope(self, capsys, samples):
+        # trimming 1/16 from each end leaves fewer than 64 envelope samples:
+        # a resolution problem of the run (exit 1), not a verification failure
+        code = main(["verify", "--samples", samples])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG and captured.out == ""
+        assert "at least 72 samples" in captured.err and f"got {samples}" in captured.err
+
     def test_insufficient_resolution_is_config_error(self, capsys):
         code, _ = run(capsys, "verify", "--samples", "256", "--periods", "2")
         assert code == EXIT_CONFIG
@@ -376,3 +412,89 @@ class TestPlumbing:
         _, out = run(capsys, "frequencies", "--p", "0.5", "--delta", "0.4")
         _, rows = parse_csv(out)
         assert rows[0]["omega_zb2"] == "2.26763184232"
+
+
+class TestVerifyWork:
+    """Each spectrum and each eigensystem set of a `verify` run is computed once."""
+
+    @staticmethod
+    def count(monkeypatch, name, *modules):
+        calls = []
+        original = getattr(modules[0], name)
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        for module in modules:
+            monkeypatch.setattr(module, name, counted)
+        return calls
+
+    def test_one_periodogram_per_tone_tag_and_beat(self, monkeypatch, tmp_path):
+        grams = self.count(monkeypatch, "periodogram", spectral, cli)
+        picks = self.count(monkeypatch, "extract_peaks", spectral, cli)
+        out = tmp_path / "report.json"
+        assert main(["verify", "--out", str(out)]) == EXIT_OK
+        entries = json.loads(out.read_text())["observables"].values()
+        expected = sum("match" in e for e in entries) + sum("beat" in e for e in entries)
+        assert expected == 16
+        assert len(grams) == len(picks) == expected
+
+    @pytest.mark.parametrize("modes", [1, 8])
+    def test_eigensystems_built_twice_per_mode(self, monkeypatch, tmp_path, modes):
+        # once for the oracle, once for the tone plan of all eight tone tags
+        builds = self.count(monkeypatch, "eigensystem_numeric", dynamics)
+        main(["verify", "--modes", str(modes), "--out", str(tmp_path / "report.json")])
+        assert len(builds) == 2 * modes
+
+
+L, ZB1, ZB2, ZB3 = "omega_L", "omega_zb1", "omega_zb2", "omega_zb3"
+CONST = None  # a constant-kind tag: only its pass is pinned
+
+#: Pinned `verify` verdicts: exit code and, per tag, (pass, assignment labels in
+#: report order, missing labels, unexplained count). A change that moves any of
+#: them changes what `verify` concludes, and needs a deliberate, logged edit here.
+VERDICTS = {
+    (): (EXIT_OK, {
+        "S_x": (True, CONST), "S_y": (True, (L, ZB2), (), 0), "S_z": (True, (L, ZB2), (), 0),
+        "alpha_x": (True, (ZB1, ZB3), (), 0), "alpha_y": (True, (ZB2, L), (), 0),
+        "alpha_z": (True, (ZB2, L), (), 0), "r_x": (True, (ZB3, ZB1), (), 0),
+        "r_y": (True, (ZB2, L), (), 0), "r_z": (True, (ZB2, L), (), 0)}),
+    ("--p0", "0.5", "--delta", "0.1"): (EXIT_VERIFY, {
+        "S_x": (True, CONST), "S_y": (True, (L, ZB2), (), 0), "S_z": (True, (L, ZB2), (), 0),
+        "alpha_x": (True, (ZB1, ZB3), (), 0), "alpha_y": (False, (ZB2,), (L,), 0),
+        "alpha_z": (False, (ZB2,), (L,), 0), "r_x": (True, (ZB3, ZB1), (), 0),
+        "r_y": (True, (ZB2, L), (), 0), "r_z": (True, (ZB2, L), (), 0)}),
+    ("--delta", "-0.4"): (EXIT_OK, {
+        "S_x": (True, CONST), "S_y": (True, (L, ZB2), (), 0), "S_z": (True, (L, ZB2), (), 0),
+        "alpha_x": (True, (ZB3, ZB1), (), 0), "alpha_y": (True, (ZB2, L), (), 0),
+        "alpha_z": (True, (ZB2, L), (), 0), "r_x": (True, (ZB1, ZB3), (), 0),
+        "r_y": (True, (ZB2, L), (), 0), "r_z": (True, (ZB2, L), (), 0)}),
+    ("--modes", "8"): (EXIT_VERIFY, {
+        "S_x": (True, CONST), "S_y": (False, (), (L, ZB2), 2), "S_z": (False, (), (L, ZB2), 2),
+        "alpha_x": (False, (), (ZB1, ZB3), 3), "alpha_y": (False, (), (L, ZB2), 2),
+        "alpha_z": (False, (), (L, ZB2), 2), "r_x": (False, (), (ZB1, ZB3), 3),
+        "r_y": (False, (), (L, ZB2), 2), "r_z": (False, (), (L, ZB2), 2)}),
+    ("--mix", "0.7,0,0.7,0"): (EXIT_OK, {
+        "S_x": (True, CONST), "S_y": (True, CONST), "S_z": (True, CONST),
+        "alpha_x": (True, (ZB1,), (), 0), "alpha_y": (True, CONST), "alpha_z": (True, CONST),
+        "r_x": (True, (ZB1,), (), 0), "r_y": (True, CONST), "r_z": (True, CONST)}),
+    ("--p0", "1.7", "--delta", "-0.75"): (EXIT_OK, {
+        "S_x": (True, CONST), "S_y": (True, (ZB2, L), (), 0), "S_z": (True, (ZB2, L), (), 0),
+        "alpha_x": (True, (ZB3, ZB1), (), 0), "alpha_y": (True, (ZB2, L), (), 0),
+        "alpha_z": (True, (ZB2, L), (), 0), "r_x": (True, (ZB3, ZB1), (), 0),
+        "r_y": (True, (L, ZB2), (), 0), "r_z": (True, (L, ZB2), (), 0)}),
+}
+
+
+@pytest.mark.parametrize("argv", list(VERDICTS), ids=lambda argv: " ".join(argv) or "defaults")
+def test_verify_verdicts_are_pinned(tmp_path, argv):
+    out = tmp_path / "report.json"
+    code = main(["verify", *argv, "--out", str(out)])
+    verdicts = {}
+    for tag, entry in json.loads(out.read_text())["observables"].items():
+        match = entry.get("match")
+        verdicts[tag] = (entry["pass"], CONST) if match is None else (
+            entry["pass"], tuple(a["label"] for a in match["assignments"]),
+            tuple(match["missing"]), len(match["unexplained"]))
+    assert (code, verdicts) == VERDICTS[argv]

@@ -38,7 +38,7 @@ def evolve(eig, c, t):
 
 def single_tone(p, mix, tag, label, cfg):
     """Coherent amplitude of one tone family of a single-mode packet."""
-    return tone_amplitudes(single_mode(p, mix, cfg), tag)[label][1]
+    return tone_amplitudes(single_mode(p, mix, cfg))[tag][label][1]
 
 
 def larmor_closed_magnitudes(p, cfg):
@@ -291,7 +291,7 @@ class TestExpectationTable:
 class TestSpinSeries:
     def test_same_branch_pair_is_single_larmor_tone(self, cfg, t_grid):
         wp = single_mode(0.5, POS_BRANCH, cfg)
-        tones = tone_amplitudes(wp, "S_y")
+        tones = tone_amplitudes(wp)["S_y"]
         larmor = tones["omega_L"][1]
         assert abs(tones["omega_zb2"][1]) <= 1e-15
         tone = 2.0 * np.real(larmor * np.exp(1j * frequency_set(0.5, cfg).omega_L * t_grid))
@@ -299,7 +299,7 @@ class TestSpinSeries:
 
     def test_cross_branch_pair_is_single_zb_tone(self, cfg, t_grid):
         wp = single_mode(0.5, (RT2, 0, 0, RT2), cfg)
-        tones = tone_amplitudes(wp, "S_y")
+        tones = tone_amplitudes(wp)["S_y"]
         zb = tones["omega_zb2"][1]
         assert abs(tones["omega_L"][1]) <= 1e-15
         assert abs(zb) > 1e-3
@@ -309,8 +309,7 @@ class TestSpinSeries:
     def test_invalid_axis(self, wp, t_grid):
         with pytest.raises(ValueError):
             analytic_series(wp, "S_w", t_grid)
-        with pytest.raises(ValueError):
-            tone_amplitudes(wp, "r_w")
+        assert "r_w" not in tone_amplitudes(wp)
 
 
 class TestLongitudinalSeries:
@@ -397,18 +396,18 @@ class TestTransversePosition:
     def test_larmor_tone_null_at_rest(self, cfg):
         wp = single_mode(0.0, DEFAULT_MIX, cfg)
         for tag in ("r_y", "r_z"):
-            assert abs(tone_amplitudes(wp, tag)["omega_L"][1]) <= 1e-12
+            assert abs(tone_amplitudes(wp)[tag]["omega_L"][1]) <= 1e-12
 
     def test_larmor_tone_null_without_splitting(self):
         wp = single_mode(0.5, DEFAULT_MIX, ParticleConfig(delta=0.0))
         for tag in ("r_y", "r_z"):
-            assert abs(tone_amplitudes(wp, tag)["omega_L"][1]) <= 1e-12
+            assert abs(tone_amplitudes(wp)[tag]["omega_L"][1]) <= 1e-12
 
     def test_parts_sum_to_full(self, cfg, wp, t_grid):
         # each tone family contributes 2*Re[A*(e^{i w t} - 1)] to a position series
         full = analytic_series(wp, "r_y", t_grid)
         parts = sum(2.0 * np.real(amp * (np.exp(1j * omega * t_grid) - 1.0))
-                    for omega, amp in tone_amplitudes(wp, "r_y").values())
+                    for omega, amp in tone_amplitudes(wp)["r_y"].values())
         assert np.max(np.abs(full.values - parts)) <= 1e-14
 
 
@@ -471,19 +470,19 @@ class TestAmplitudeSet:
 
 class TestToneAmplitudes:
     def test_labels_per_channel(self, cfg, wp):
-        assert set(tone_amplitudes(wp, "S_y")) == {"omega_L", "omega_zb2"}
-        assert set(tone_amplitudes(wp, "alpha_x")) == {"omega_zb1", "omega_zb3"}
-        assert set(tone_amplitudes(wp, "r_x")) == {"omega_zb1", "omega_zb3"}
+        assert set(tone_amplitudes(wp)["S_y"]) == {"omega_L", "omega_zb2"}
+        assert set(tone_amplitudes(wp)["alpha_x"]) == {"omega_zb1", "omega_zb3"}
+        assert set(tone_amplitudes(wp)["r_x"]) == {"omega_zb1", "omega_zb3"}
 
     def test_helicity_tag_rejected(self, wp):
-        with pytest.raises(ValueError):
-            tone_amplitudes(wp, "S_x")
+        # S_x is a constant of motion: the table holds the eight tone-carrying tags only
+        assert tuple(tone_amplitudes(wp)) == OBSERVABLE_TAGS[1:]
 
     def test_structural_nulls(self, cfg):
         wp0 = single_mode(0.0, DEFAULT_MIX, cfg)
-        _, amp = tone_amplitudes(wp0, "r_y")["omega_L"]
+        _, amp = tone_amplitudes(wp0)["r_y"]["omega_L"]
         assert abs(amp) <= 1e-14
-        _, amp = tone_amplitudes(wp0, "S_y")["omega_zb2"]
+        _, amp = tone_amplitudes(wp0)["S_y"]["omega_zb2"]
         assert abs(amp) <= 1e-14
 
     def test_negative_splitting_folds_larmor_line(self):
@@ -492,7 +491,7 @@ class TestToneAmplitudes:
         wp = single_mode(0.5, DEFAULT_MIX, cfg)
         fs = frequency_set(0.5, cfg)
         assert fs.omega_L < 0
-        omega, amp = tone_amplitudes(wp, "S_y")["omega_L"]
+        omega, amp = tone_amplitudes(wp)["S_y"]["omega_L"]
         assert omega == pytest.approx(abs(fs.omega_L), rel=1e-12)
         assert abs(amp) > 1e-3
         t = default_time_grid(fs, samples=512)
@@ -503,13 +502,13 @@ class TestToneAmplitudes:
     def test_real_equal_mix_cancellations(self, cfg):
         # the symmetry that forces the staggered-phase default mix
         wp = single_mode(0.5, EQUAL_MIX, cfg)
-        _, amp = tone_amplitudes(wp, "S_y")["omega_zb2"]
+        _, amp = tone_amplitudes(wp)["S_y"]["omega_zb2"]
         assert abs(amp) <= 1e-14
-        _, amp = tone_amplitudes(wp, "S_z")["omega_L"]
+        _, amp = tone_amplitudes(wp)["S_z"]["omega_L"]
         assert abs(amp) <= 1e-14
         wp = single_mode(0.5, DEFAULT_MIX, cfg)
-        assert abs(tone_amplitudes(wp, "S_y")["omega_zb2"][1]) > 1e-3
-        assert abs(tone_amplitudes(wp, "S_z")["omega_L"][1]) > 1e-3
+        assert abs(tone_amplitudes(wp)["S_y"]["omega_zb2"][1]) > 1e-3
+        assert abs(tone_amplitudes(wp)["S_z"]["omega_L"][1]) > 1e-3
 
 
 def test_observable_tags_cover_all_channels():

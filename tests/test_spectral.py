@@ -28,6 +28,11 @@ def tone_series(spec):
     return TimeSeries(T, x, "synthetic")
 
 
+def beat_of(series):
+    """beat_envelope on the peaks extracted with verify's settings."""
+    return beat_envelope(series, extract_peaks(periodogram(series)))
+
+
 class TestPeriodogram:
     def test_single_tone_lands_in_one_bin(self):
         w0 = 137.3 * RES
@@ -247,23 +252,53 @@ class TestMatchFrequencies:
 class TestBeatEnvelope:
     def test_synthetic_difference_of_tones(self):
         series = tone_series([(1.0, 2.0, 0.3), (1.0, 1.2, 1.0)])
-        carrier, envelope = beat_envelope(series)
+        carrier, envelope = beat_of(series)
         assert envelope == pytest.approx(0.8, rel=1e-2)
 
     def test_carrier_is_dominant_tone(self):
         series = tone_series([(1.0, 2.0, 0.3), (0.6, 1.2, 1.0)])
-        carrier, envelope = beat_envelope(series)
+        carrier, envelope = beat_of(series)
         assert carrier == pytest.approx(2.0, rel=1e-3)
         assert envelope == pytest.approx(0.8, rel=1e-2)
 
     def test_single_tone_rejected(self):
         with pytest.raises(ValueError):
-            beat_envelope(tone_series([(1.0, 2.0, 0.0)]))
+            beat_of(tone_series([(1.0, 2.0, 0.0)]))
 
     def test_three_tones_rejected(self):
         series = tone_series([(1.0, 1.0, 0.0), (1.0, 2.0, 0.2), (1.0, 3.1, 0.4)])
         with pytest.raises(ValueError):
-            beat_envelope(series)
+            beat_of(series)
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_reads_the_given_peaks(self, count):
+        # a clean two-tone series with a one- or three-peak PeakSet: the peaks
+        # are taken as given, not extracted again
+        series = tone_series([(1.0, 2.0, 0.3), (1.0, 1.2, 1.0)])
+        peaks = extract_peaks(periodogram(series))
+        assert len(peaks.peaks) == 2
+        given = replace(peaks, peaks=(peaks.peaks * 2)[:count])
+        with pytest.raises(ValueError, match="exactly two tones"):
+            beat_envelope(series, given)
+
+    def test_carrier_is_the_first_given_peak(self):
+        series = tone_series([(1.0, 2.0, 0.3), (0.6, 1.2, 1.0)])
+        peaks = extract_peaks(periodogram(series))
+        swapped = replace(peaks, peaks=peaks.peaks[::-1])
+        carrier, envelope = beat_envelope(series, swapped)
+        assert carrier == peaks.peaks[1].omega
+        assert envelope == beat_of(series)[1]
+
+    @pytest.mark.parametrize("n", [64, 71])
+    def test_short_series_is_a_resolution_error(self, n):
+        # 1/16 trimmed from each end leaves fewer than the 64 samples a periodogram takes
+        series = TimeSeries(T[:n], tone_series([(1.0, 20.0, 0.3), (1.0, 12.0, 1.0)]).values[:n], "short")
+        with pytest.raises(ResolutionError, match="at least 72 samples.*got " + str(n)):
+            beat_envelope(series, extract_peaks(periodogram(series)))
+
+    def test_shortest_series_that_beats(self):
+        series = TimeSeries(T[:72], tone_series([(1.0, 20.0, 0.3), (1.0, 12.0, 1.0)]).values[:72], "short")
+        beat_envelope(series, extract_peaks(periodogram(series)))
 
 
 class TestDynamicsPipeline:
@@ -279,7 +314,7 @@ class TestDynamicsPipeline:
         fs = frequency_set(0.5, cfg)
         wp = single_mode(0.5, DEFAULT_MIX, cfg)
         t = default_time_grid(fs)
-        _, envelope = beat_envelope(expectation_table(wp, t)["S_y"])
+        _, envelope = beat_of(expectation_table(wp, t)["S_y"])
         assert envelope == pytest.approx(fs.omega_sb, rel=1e-2)
 
     def test_degenerate_run_single_free_peak(self):
